@@ -77,9 +77,5 @@ class GridTooCoarse(BeliefContractsError):
     """Oracle grid found no feasible point although the solver produced one."""
 
 
-class NoFlipInRange(BeliefContractsError):
-    """Regime-change bisection found the same binding pattern at both ends of the range."""
-
-
 class DimensionError(BeliefContractsError):
     """Operation requires a specific number of states."""

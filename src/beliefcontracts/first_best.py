@@ -66,7 +66,7 @@ def solve_first_best(inst: ProblemInstance, action: str, tol: float = 1e-9) -> F
     level = inst.reservation_utility + act.cost
     model = inst.utility
 
-    v, w, lam = solve_ir_only(delta, q, model, level, tol=tol)
+    v, w, lam = solve_ir_only(delta, q, model, level)
     ir_residual = float(q @ v) - level
     foc = (delta - lam * q * np.asarray(model.marginal(w))) / delta
     return FirstBestSolution(

@@ -166,13 +166,13 @@ def inner_cost(sp: SpreadProblem, m: float, tol: float = 1e-9) -> InnerSolution:
     ir_rhs, ic_rhs = _shifted_rhs(sp, m)
 
     sol = minimize_on_affine(weights, np.vstack([pi, drow]), np.array([ir_rhs, ic_rhs]),
-                             model, tol=tol)
+                             model)
     lam, mu = sol.multipliers
     if mu >= -tol:
         return InnerSolution(m=float(m), cost=sol.cost, wages=sol.wages,
                              utility_levels=sol.v, lam=float(lam), mu=float(mu),
                              ic_binding=True)
-    v, w, lam = solve_ir_only(weights, pi, model, ir_rhs, tol=tol)
+    v, w, lam = solve_ir_only(weights, pi, model, ir_rhs)
     slack = float(drow @ v) - ic_rhs
     if slack < -tol:
         raise NegativeMultiplier(
@@ -209,12 +209,12 @@ def _pinned_inner(sp: SpreadProblem, m: float, tol: float) -> _PinnedInner:
     drow = sp.pi4 - sp.eta4
     M = np.vstack([sp.pi4, drow, spread_row])
     r = np.array([sp.level, sp.cost_gap, m])
-    sol = minimize_on_affine(weights, M, r, model, tol=tol)
+    sol = minimize_on_affine(weights, M, r, model)
     lam, mu, nu = sol.multipliers
     if mu < -tol:
         M2 = np.vstack([sp.pi4, spread_row])
         r2 = np.array([sp.level, m])
-        sol2 = minimize_on_affine(weights, M2, r2, model, tol=tol)
+        sol2 = minimize_on_affine(weights, M2, r2, model)
         slack = float(drow @ np.asarray(sol2.v)) - sp.cost_gap
         if slack < -tol:
             raise NegativeMultiplier(

@@ -17,6 +17,17 @@ Two entry points:
     interior start; the minimum is then located by equality-constrained
     Newton after eliminating m coordinates through the constraints, so every
     iterate satisfies M v = r exactly.
+
+Neither takes a tolerance: the cut-offs are fixed.  Bisection stops at a
+relative bracket width of 1e-12, the reduced Newton at a relative
+stationarity of 1e-13, and a relative stationarity above 1e-9 next to the
+utility-range boundary is refused as a boundary optimum.
+
+Every utility evaluation goes through the checked public ``UtilityModel``
+methods, and none is repeated at a point already evaluated: the multiplier
+Newton pass takes the line search's accepted trial point, as evaluated
+there, for its next iterate, and the polish in ``solve_ir_only`` evaluates
+the residual and the wages at the bisected multiplier once.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ class AffineSolution:
 
 
 def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
-                  rhs: float, tol: float = 1e-9):
+                  rhs: float):
     """Minimize sum weights_s w_s subject to sum probs_s u(w_s) = rhs.
 
     The first-order condition is weights_s = lam * probs_s * u'(w_s); the
@@ -107,14 +118,15 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     w = wages_at(lam)
     m = model.marginal(w)
     rprime = -(probs @ (m * m / model.second_derivative(w))) / lam
-    if rprime > 0.0:
-        cand = lam - residual(lam) / rprime
-        if cand > 0.0 and (lo <= cand <= hi
-                           or abs(residual(cand)) < abs(residual(lam))):
-            lam = cand
-
-    w = wages_at(lam)
     v = model.evaluate(w)
+    if rprime > 0.0:
+        r_lam = float(probs @ v) - rhs
+        cand = lam - r_lam / rprime
+        if cand > 0.0:
+            w_cand = wages_at(cand)
+            v_cand = model.evaluate(w_cand)
+            if lo <= cand <= hi or abs(float(probs @ v_cand) - rhs) < abs(r_lam):
+                lam, w, v = cand, w_cand, v_cand
     return np.asarray(v, dtype=float), np.asarray(w, dtype=float), float(lam)
 
 
@@ -170,13 +182,15 @@ def _dual_start(weights, M, r, model, lam0):
     theta = np.zeros(m)
     theta[0] = lam0
     best_v, best_res = None, np.inf
+    v = None
     for _ in range(_MAX_NEWTON):
-        coef = M.T @ theta
-        if np.any(coef <= 0.0):
-            raise KKTDegeneracy("non-positive first-order coefficient during multiplier solve")
-        w = model.inverse_marginal(weights / coef)
-        v = np.asarray(model.evaluate(w), dtype=float)
-        g = M @ v - r
+        if v is None:
+            coef = M.T @ theta
+            if np.any(coef <= 0.0):
+                raise KKTDegeneracy("non-positive first-order coefficient during multiplier solve")
+            w = model.inverse_marginal(weights / coef)
+            v = np.asarray(model.evaluate(w), dtype=float)
+            g = M @ v - r
         res = float(np.max(np.abs(g)))
         if res < best_res:
             best_v, best_res = v, res
@@ -188,13 +202,16 @@ def _dual_start(weights, M, r, model, lam0):
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
             break
-        alpha = 1.0
+        # an accepted trial point becomes the next iterate as evaluated here
+        alpha, v = 1.0, None
         for _ in range(50):
             coef2 = M.T @ (theta + alpha * step)
-            if np.all(coef2 > 0.0):
+            if (coef2 > 0.0).all():
                 w2 = model.inverse_marginal(weights / coef2)
-                g2 = M @ np.asarray(model.evaluate(w2), dtype=float) - r
-                if np.max(np.abs(g2)) < res or alpha < 1e-8:
+                v2 = np.asarray(model.evaluate(w2), dtype=float)
+                g2 = M @ v2 - r
+                if np.abs(g2).max() < res or alpha < 1e-8:
+                    v, g = v2, g2
                     break
             alpha *= 0.5
         theta = theta + alpha * step
@@ -206,7 +223,7 @@ def _dual_start(weights, M, r, model, lam0):
     return best_v, theta
 
 
-def minimize_on_affine(weights, M, r, model: UtilityModel, tol: float = 1e-9):
+def minimize_on_affine(weights, M, r, model: UtilityModel):
     """Minimize sum weights_s h(v_s) over {v : M v = r} inside the utility range.
 
     Args:
@@ -214,7 +231,6 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, tol: float = 1e-9):
         M: (m x S) constraint matrix; row 0 must be strictly positive (the
            participation row), so a starting multiplier exists.
         r: right-hand sides.
-        tol: stationarity tolerance on the returned certificate.
 
     Returns:
         AffineSolution with multipliers theta solving M^T theta = weights*h'(v)
@@ -279,6 +295,11 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, tol: float = 1e-9):
         """
         hp = np.asarray(model.inverse_derivative(vv), dtype=float)
         target = weights * hp
+        if not ((target > 0.0) & (target < np.inf)).all():
+            # lstsq would fail or loop forever on the non-finite scaled rows
+            raise KKTDegeneracy(
+                "stationarity scale weight_s h'(v_s) left (0, inf): the first-order "
+                "conditions are conditioned beyond double precision")
         scaled = M.T / target[:, None]
         theta_fit, *_ = np.linalg.lstsq(scaled, np.ones(S), rcond=None)
         resid = target - M.T @ theta_fit

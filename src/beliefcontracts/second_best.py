@@ -123,11 +123,11 @@ def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
 
     def solve_working_set(active: frozenset[int]):
         if not active:
-            v, w, lam = solve_ir_only(delta, q, model, level, tol=tol)
+            v, w, lam = solve_ir_only(delta, q, model, level)
             return np.asarray(v), np.asarray(w), np.array([lam])
         M = np.vstack([q] + [ineqs[i][0] for i in sorted(active)])
         r = np.array([level] + [ineqs[i][1] for i in sorted(active)])
-        sol = minimize_on_affine(delta, M, r, model, tol=tol)
+        sol = minimize_on_affine(delta, M, r, model)
         return np.asarray(sol.v), np.asarray(sol.wages), np.asarray(sol.multipliers)
 
     active: frozenset[int] = frozenset()

@@ -21,9 +21,16 @@ from .errors import DomainError, ParseError, ValidationError
 _INF = float("inf")
 
 
+def _in_open_interval(x, lo: float, hi: float) -> bool:
+    """lo < x < hi elementwise; NaN fails both comparisons and +-inf fails one."""
+    if isinstance(x, float):
+        return lo < x < hi
+    a = np.asarray(x, dtype=float)
+    return bool(((a > lo) & (a < hi)).all())
+
+
 def _check_open_interval(x, lo: float, hi: float, what: str, name: str) -> None:
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= lo) or np.any(arr >= hi):
+    if not _in_open_interval(x, lo, hi):
         raise DomainError(f"{name}: {what} must lie in the open interval ({lo}, {hi})")
 
 
@@ -85,10 +92,9 @@ class UtilityModel:
 
     def inverse_marginal(self, m):
         """(u')^-1(m): the wage at which marginal utility equals m."""
-        arr = np.asarray(m, dtype=float)
-        if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not _in_open_interval(m, 0.0, _INF):
             raise DomainError(f"{self.family}: marginal utility must be positive")
-        return self._u_prime_inv(arr if np.ndim(m) else float(m))
+        return self._u_prime_inv(np.asarray(m, dtype=float) if np.ndim(m) else float(m))
 
     # -- guards ---------------------------------------------------------------
     def _require_wage(self, w) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,15 @@ from beliefcontracts.problemio import (dump_json, parse_problem,
                                        serialize_problem)
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_process(*argv):
+    """The CLI in a fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "beliefcontracts.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 MINIMAL = """
 {
@@ -163,12 +173,19 @@ class TestCli:
         assert meta["tool"] == "beliefcontracts"
 
     def test_entry_point_smoke(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "beliefcontracts.cli", "mlrp",
-             "--f", "0.5,0.5", "--g", "0.5,0.5"],
-            capture_output=True, text=True)
+        proc = cli_process("mlrp", "--f", "0.5,0.5", "--g", "0.5,0.5")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ordering"] == "equal"
+
+    def test_underflowing_first_order_scale_is_a_solver_error(self):
+        # weight_s h'(v_s) underflows to 0 on this log draw; the refusal must be
+        # KKTDegeneracy (exit 1), not a numpy error escaping with a traceback
+        proc = cli_process("solve-second-best", "--problem",
+                           str(DATA / "log_lstsq_underflow.json"))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error[KKTDegeneracy]: stationarity scale")
 
     def test_figure_data_csv(self):
         code, out = self.run("figure-data", "--problem", str(DATA / "log_binding.json"),

@@ -1,6 +1,7 @@
 """Hidden-action solver: hand-solved cases, KKT certificates, diagnostics."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import beliefcontracts as bc
 from beliefcontracts import Monotonicity
 from support import two_action_instance
+
+DATA = Path(__file__).parent / "data"
 
 D = lambda *p: bc.Distribution(tuple(p))
 
@@ -129,6 +132,13 @@ class TestSolveSecondBest:
             -6.0, bc.CaraUtility(r=1.0))
         with pytest.raises((bc.Infeasible, bc.KKTDegeneracy)):
             bc.solve_second_best(inst, "H")
+
+    def test_underflowing_first_order_scale_is_kkt_degeneracy(self):
+        # weights * h'(v) underflows to 0 during the reduced Newton; lstsq
+        # would raise LinAlgError on the resulting non-finite rows
+        inst = bc.load_problem(DATA / "log_lstsq_underflow.json")
+        with pytest.raises(bc.KKTDegeneracy, match="stationarity scale"):
+            bc.solve_second_best(inst, "a1")
 
     def test_wage_box_pins_and_reports(self):
         # slack incentives: capping the top wage re-optimizes along participation

@@ -146,3 +146,69 @@ class TestTabulated:
         w = np.linspace(0.5, 6.0, 40)
         with pytest.raises(bc.ValidationError):
             bc.TabulatedUtility(w, w ** 2)
+
+
+GUARDED_MODELS = ALL_MODELS + [
+    bc.LogUtility(domain=(1.0, 5.0)),
+    bc.CaraUtility(r=1.0, domain=(-1.0, 2.0)),
+    bc.CrraUtility(gamma=2.0, domain=(0.5, 4.0)),
+]
+WAGE_METHODS = ("evaluate", "marginal", "second_derivative")
+UTILITY_METHODS = ("inverse", "inverse_derivative", "inverse_second_derivative")
+SHAPES = {
+    "float": float,
+    "0-d": lambda x: np.array(x),
+    "1-d": lambda x: np.array([x]),
+}
+
+
+def interior(lo, hi):
+    if np.isfinite(lo) and np.isfinite(hi):
+        return 0.5 * (lo + hi)
+    if np.isfinite(lo):
+        return lo + 1.0
+    if np.isfinite(hi):
+        return hi - 1.0
+    return 0.5
+
+
+def outside_points(lo, hi):
+    """NaN, both infinities and both endpoints: none lies in the open (lo, hi)."""
+    return [math.nan, math.inf, -math.inf, lo, hi]
+
+
+def guarded_methods(model):
+    """(bound method, lo, hi) for every method checked against an open interval."""
+    for methods, (lo, hi) in ((WAGE_METHODS, model.wage_domain),
+                              (UTILITY_METHODS, model.utility_range)):
+        for name in methods:
+            yield getattr(model, name), lo, hi
+
+
+@pytest.mark.parametrize("model", GUARDED_MODELS, ids=lambda m: repr(m))
+def test_one_bad_entry_fails_the_whole_vector(model):
+    for method, lo, hi in guarded_methods(model):
+        good = interior(lo, hi)
+        for bad in outside_points(lo, hi):
+            with pytest.raises(bc.DomainError):
+                method(np.array([good, bad, good]))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("model", GUARDED_MODELS, ids=lambda m: repr(m))
+class TestOpenIntervalGuard:
+    def test_interior_points_pass(self, model, shape):
+        for method, lo, hi in guarded_methods(model):
+            assert np.isfinite(method(SHAPES[shape](interior(lo, hi))))
+
+    def test_nan_infinities_and_endpoints_raise(self, model, shape):
+        for method, lo, hi in guarded_methods(model):
+            for bad in outside_points(lo, hi):
+                with pytest.raises(bc.DomainError):
+                    method(SHAPES[shape](bad))
+
+    def test_inverse_marginal_rejects_zero_negative_nan_inf(self, model, shape):
+        assert np.isfinite(model.inverse_marginal(SHAPES[shape](0.5)))
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(bc.DomainError):
+                model.inverse_marginal(SHAPES[shape](bad))
