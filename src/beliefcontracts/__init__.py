@@ -10,13 +10,13 @@ grid oracle for validation.
 __version__ = "0.1.0"
 
 from .beliefs import (ActionSpec, DeltaVector, Distribution, MlrpOrder,
-                      Monotonicity, ProblemInstance, delta_vector, kappa,
-                      mlrp_compare, mlrp_strict, reduce_distribution)
+                      Monotonicity, Party, ProblemInstance, SolverKind,
+                      delta_vector, kappa, mlrp_compare, mlrp_strict,
+                      reduce_distribution)
 from .cara import (CaraSolution, CaraSweep, CaraSystem, branch_interval,
                    cara_compstat, multipliers, solve_system, solve_w1,
                    to_problem_instance, w2_from_w1, w3_from_w1)
-from .compstat import (BeliefTilt, Party, SolverKind, SweepResult,
-                       detect_regime_change, sweep)
+from .compstat import BeliefTilt, SweepResult, detect_regime_change, sweep
 from .errors import *  # noqa: F401,F403
 from .first_best import (DirectionReport, FirstBestSolution, check_prop1,
                          classify_monotonicity, first_best_compstat,

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import (IndexOrder, InvalidReduction, LengthMismatch,
-                     ValidationError)
+from .errors import (EpsilonTooLarge, IndexOrder, InvalidReduction,
+                     LengthMismatch, ValidationError)
 from .utility import UtilityModel
 
 #: Simplex membership tolerance on inputs; off-simplex vectors are rejected,
@@ -45,6 +45,20 @@ class Monotonicity(Enum):
     NON_MONOTONE = "non_monotone"
 
 
+class Party(Enum):
+    """Whose beliefs a tilt moves."""
+
+    PRINCIPAL = "principal"
+    AGENT = "agent"
+
+
+class SolverKind(Enum):
+    """Which contract a driver solves: observable action or hidden action."""
+
+    FIRST_BEST = "first_best"
+    SECOND_BEST = "second_best"
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A point in the S-simplex (S >= 2, entries >= 0, sum 1 within 1e-12)."""
@@ -71,6 +85,29 @@ class Distribution:
 
     def min_prob(self) -> float:
         return min(self.probs)
+
+    def tilted(self, s: int, s_prime: int, eps: float) -> Distribution:
+        """Move eps of probability mass from state s_prime onto state s.
+
+        A negative eps moves mass the other way.
+
+        Raises:
+            ValidationError: s and s_prime are equal or not states.
+            EpsilonTooLarge: a moved entry leaves the open interval (0, 1).
+        """
+        n = len(self.probs)
+        if s == s_prime or not (0 <= s < n and 0 <= s_prime < n):
+            raise ValidationError(f"tilt needs two distinct states in [0, {n}), "
+                                  f"got ({s}, {s_prime})")
+        probs = list(self.probs)
+        moved_s = probs[s] + eps
+        moved_sp = probs[s_prime] - eps
+        if not (0.0 < moved_s < 1.0 and 0.0 < moved_sp < 1.0):
+            raise EpsilonTooLarge(
+                f"eps = {eps} pushes states ({s}, {s_prime}) out of the open simplex")
+        probs[s] = moved_s
+        probs[s_prime] = moved_sp
+        return Distribution(tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -168,6 +205,17 @@ class ProblemInstance:
     def other_actions(self, name: str) -> tuple[ActionSpec, ...]:
         self.action(name)
         return tuple(a for a in self.actions if a.name != name)
+
+    def tilted(self, party: Party, action: str, s: int, s_prime: int,
+               eps: float) -> ProblemInstance:
+        """Copy with ``party``'s beliefs about ``action`` tilted by
+        ``Distribution.tilted(s, s_prime, eps)``."""
+        act = self.action(action)
+        if party is Party.PRINCIPAL:
+            new_act = replace(act, principal_beliefs=act.principal_beliefs.tilted(s, s_prime, eps))
+        else:
+            new_act = replace(act, agent_beliefs=act.agent_beliefs.tilted(s, s_prime, eps))
+        return replace(self, actions=tuple(new_act if a is act else a for a in self.actions))
 
     def require_positive_beliefs(self) -> None:
         """Solvers divide by probabilities; insist on strictly positive beliefs."""

@@ -17,7 +17,7 @@ State indices here are 0-based: states 0, 1, 2 in increasing output order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .beliefs import (ActionSpec, Distribution, DeltaVector, ProblemInstance,
                       kappa, mlrp_strict)
 from .errors import (EpsilonTooLarge, NegativeMu, NoRootInBranch, OutOfBranch,
                      ValidationError)
+from .first_best import VERDICT_TOL, classify_monotonicity
 from .utility import CaraUtility
 
 _MAX_EXPAND = 200
@@ -296,51 +297,38 @@ class CaraSweep:
 def cara_compstat(sys: CaraSystem, s: int, s_prime: int, eps_grid,
                   tol: float = 1e-12) -> CaraSweep:
     """Re-solve the closed form along eps reallocations pi^P_s + eps,
-    pi^P_{s'} - eps and report wage directions."""
+    pi^P_{s'} - eps and report wage directions.
+
+    Every eps must be >= 0 (the directions assume mass moves onto s) and keep
+    the principal beliefs in the open simplex (see ``Distribution.tilted``);
+    otherwise EpsilonTooLarge is raised before any solve.
+    """
     if s == s_prime or not (0 <= s < 3 and 0 <= s_prime < 3):
         raise ValidationError("need two distinct states in {0, 1, 2}")
     eps_values = [float(e) for e in eps_grid]
-    p = sys.principal.probs
-    for e in eps_values:
-        if e < 0:
-            raise EpsilonTooLarge("eps must be >= 0")
-        if e >= min(p[s], p[s_prime]):
-            raise EpsilonTooLarge(f"eps = {e} not below min perturbed probability")
+    if any(e < 0 for e in eps_values):
+        raise EpsilonTooLarge("eps must be >= 0: the directions assume mass moves onto s")
+    principals = [sys.principal.tilted(s, s_prime, e) for e in eps_values]
 
     rows, lams, mus = [], [], []
-    for e in eps_values:
-        probs = list(p)
-        probs[s] += e
-        probs[s_prime] -= e
-        tilted = CaraSystem(sys.pi_high, sys.pi_low, Distribution(tuple(probs)),
-                            sys.cost, sys.ubar)
-        sol = solve_system(tilted, tol=tol)
+    for principal in principals:
+        sol = solve_system(replace(sys, principal=principal), tol=tol)
         rows.append(sol.wages)
         lams.append(sol.lam)
         mus.append(sol.mu)
 
     wages = np.asarray(rows, dtype=float)
-    step_tol = 1e-9
     ds = np.diff(wages[:, s])
     dsp = np.diff(wages[:, s_prime])
     third = ({0, 1, 2} - {s, s_prime}).pop()
-    dt = np.diff(wages[:, third])
-    if np.all(np.abs(dt) <= step_tol):
-        third_dir = "flat"
-    elif np.all(dt >= -step_tol):
-        third_dir = "increasing"
-    elif np.all(dt <= step_tol):
-        third_dir = "decreasing"
-    else:
-        third_dir = "non_monotone"
     return CaraSweep(
         s=s, s_prime=s_prime,
         eps_values=tuple(eps_values),
         wages=tuple(tuple(float(x) for x in row) for row in rows),
         lam_path=tuple(lams), mu_path=tuple(mus),
-        s_non_increasing=bool(np.all(ds <= step_tol)) if len(ds) else True,
-        s_prime_non_decreasing=bool(np.all(dsp >= -step_tol)) if len(dsp) else True,
-        strict_steps=int(np.sum(ds < -step_tol) + np.sum(dsp > step_tol)),
+        s_non_increasing=bool(np.all(ds <= VERDICT_TOL)) if len(ds) else True,
+        s_prime_non_decreasing=bool(np.all(dsp >= -VERDICT_TOL)) if len(dsp) else True,
+        strict_steps=int(np.sum(ds < -VERDICT_TOL) + np.sum(dsp > VERDICT_TOL)),
         third_state=third,
-        third_direction=third_dir,
+        third_direction=classify_monotonicity(wages[:, third], tol=VERDICT_TOL).value,
     )

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beliefs import Distribution
-from .compstat import BeliefTilt, Party, SolverKind, detect_regime_change, sweep
+from .beliefs import Distribution, Party, SolverKind
+from .compstat import BeliefTilt, detect_regime_change, sweep
 from .errors import BeliefContractsError, ParseError, ValidationError
 from .first_best import classify_monotonicity, solve_first_best
 from .iterative import SpreadProblem, equivalence_report
-from .oracle import FIRST_BEST, SECOND_BEST, GridSpec, oracle_audit
+from .oracle import GridSpec, oracle_audit
 from .problemio import (dump_json, figure_csv, first_best_payload, load_problem,
                         second_best_payload, sweep_csv)
 from .second_best import choose_action, figure_data, solve_second_best
@@ -52,6 +52,11 @@ def _parse_grid(text: str) -> list[float]:
 
 def _parse_dist(text: str) -> Distribution:
     return Distribution(tuple(float(x) for x in text.split(",")))
+
+
+def _solver_kind(text: str) -> SolverKind:
+    """--solver / --mode value ("first-best" or "second-best") as a SolverKind."""
+    return SolverKind(text.replace("-", "_"))
 
 
 def _emit(args, payload: str, parser_argv: list[str]) -> None:
@@ -180,7 +185,7 @@ def _run(args, argv) -> int:
 
     if cmd == "solve-first-best":
         action = _default_action(inst, args.action)
-        sol = solve_first_best(inst, action, tol=args.tol)
+        sol = solve_first_best(inst, action)
         payload = first_best_payload(sol, args.tol)
         payload["monotonicity"] = classify_monotonicity(sol).value
         _emit(args, dump_json(payload) + "\n", argv)
@@ -218,10 +223,9 @@ def _run(args, argv) -> int:
         action = _default_action(inst, args.action)
         which = args.which_action or action
         s, s_prime = _parse_states(args.states)
-        solver = (SolverKind.FIRST_BEST if args.solver == "first-best"
-                  else SolverKind.SECOND_BEST)
         result = sweep(inst, action, Party(args.party), which, s, s_prime,
-                       _parse_grid(args.eps_grid), solver, tol=args.tol)
+                       _parse_grid(args.eps_grid), _solver_kind(args.solver),
+                       tol=args.tol)
         if _require_format(args, "csv", ("csv", "json")) == "json":
             payload = {
                 "eps_values": list(result.eps_values),
@@ -266,9 +270,9 @@ def _run(args, argv) -> int:
 
     if cmd == "oracle-audit":
         action = _default_action(inst, args.action)
-        mode = FIRST_BEST if args.mode == "first-best" else SECOND_BEST
+        mode = _solver_kind(args.mode)
         if args.v_lo is None or args.v_hi is None:
-            sol = (solve_first_best(inst, action, tol=args.tol) if mode == FIRST_BEST
+            sol = (solve_first_best(inst, action) if mode is SolverKind.FIRST_BEST
                    else solve_second_best(inst, action, tol=args.tol))
             vs = np.asarray(sol.utility_levels)
             span = max(float(vs.max() - vs.min()), 0.1)

@@ -9,51 +9,16 @@ incentive constraint stops binding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .beliefs import (ActionSpec, Distribution, Monotonicity, ProblemInstance)
-from .errors import BeliefContractsError, EpsilonTooLarge, ValidationError
-from .first_best import solve_first_best
+from .beliefs import Monotonicity, Party, ProblemInstance, SolverKind
+from .errors import BeliefContractsError, ValidationError
+from .first_best import VERDICT_TOL, classify_monotonicity, solve_first_best
 from .second_best import solve_second_best
 
-#: wage movements below this per eps step count as flat
-VERDICT_TOL = 1e-9
-
-
-class Party(Enum):
-    PRINCIPAL = "principal"
-    AGENT = "agent"
-
-
-class SolverKind(Enum):
-    FIRST_BEST = "first_best"
-    SECOND_BEST = "second_best"
-
-
-def _tilted_instance(inst: ProblemInstance, party: Party, which_action: str,
-                     s: int, s_prime: int, eps: float) -> ProblemInstance:
-    act = inst.action(which_action)
-    base = act.principal_beliefs if party is Party.PRINCIPAL else act.agent_beliefs
-    probs = list(base.probs)
-    if s == s_prime:
-        raise ValidationError("tilt needs two distinct states")
-    moved_s = probs[s] + eps
-    moved_sp = probs[s_prime] - eps
-    if not (0.0 < moved_s < 1.0 and 0.0 < moved_sp < 1.0):
-        raise EpsilonTooLarge(
-            f"eps = {eps} pushes the {party.value} beliefs for {which_action!r} "
-            "out of the open simplex")
-    probs[s] = moved_s
-    probs[s_prime] = moved_sp
-    tilted = Distribution(tuple(probs))
-    if party is Party.PRINCIPAL:
-        new_act = ActionSpec(act.name, act.cost, tilted, act.agent_beliefs)
-    else:
-        new_act = ActionSpec(act.name, act.cost, act.principal_beliefs, tilted)
-    actions = tuple(new_act if a.name == which_action else a for a in inst.actions)
-    return ProblemInstance(inst.outputs, actions, inst.reservation_utility, inst.utility)
+# the tilt's earlier private name, which the acceptance suite imports
+_tilted_instance = ProblemInstance.tilted
 
 
 @dataclass(frozen=True)
@@ -97,13 +62,15 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
     S = inst.n_states
     if not (0 <= s < S and 0 <= s_prime < S):
         raise ValidationError("state indices out of range")
+    if not isinstance(solver, SolverKind):
+        raise ValidationError(f"unknown solver {solver!r}")
 
     rows, lams, mus, power_a, power_p, coincides, failed = [], [], [], [], [], [], []
     for i, eps in enumerate(eps_values):
-        tilted = _tilted_instance(inst, party, which_action, s, s_prime, eps)
+        tilted = inst.tilted(party, which_action, s, s_prime, eps)
         try:
             if solver is SolverKind.FIRST_BEST:
-                sol = solve_first_best(tilted, action, tol=tol)
+                sol = solve_first_best(tilted, action)
                 lam, mu, coin = sol.lam, 0.0, True
             else:
                 sol = solve_second_best(tilted, action, tol=tol)
@@ -129,19 +96,8 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
         coincides.append(bool(coin))
 
     ok = [i for i in range(len(eps_values)) if i not in failed]
-    verdicts = []
-    for state in range(S):
-        diffs = [rows[j][state] - rows[i][state]
-                 for i, j in zip(ok, ok[1:])]
-        diffs = np.asarray(diffs, dtype=float)
-        if diffs.size == 0 or np.all(np.abs(diffs) <= VERDICT_TOL):
-            verdicts.append(Monotonicity.FLAT)
-        elif np.all(diffs >= -VERDICT_TOL):
-            verdicts.append(Monotonicity.INCREASING)
-        elif np.all(diffs <= VERDICT_TOL):
-            verdicts.append(Monotonicity.DECREASING)
-        else:
-            verdicts.append(Monotonicity.NON_MONOTONE)
+    verdicts = [classify_monotonicity([rows[i][state] for i in ok], tol=VERDICT_TOL)
+                for state in range(S)]
 
     regime = [eps_values[j] for i, j in zip(ok, ok[1:])
               if coincides[i] != coincides[j]]
@@ -184,8 +140,7 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
         target = max(inst.actions, key=lambda a: a.cost).name
 
     def flag(eps: float) -> bool:
-        tilted = _tilted_instance(inst, tilt.party, tilt.action,
-                                  tilt.s, tilt.s_prime, eps)
+        tilted = inst.tilted(tilt.party, tilt.action, tilt.s, tilt.s_prime, eps)
         return solve_second_best(tilted, target).coincides_with_first_best
 
     lo, hi = 0.0, float(eps_max)

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import MlrpOrder, Monotonicity, ProblemInstance
-from .errors import EpsilonTooLarge, ValidationError
+from .beliefs import MlrpOrder, Monotonicity, Party, ProblemInstance
+from .errors import EpsilonTooLarge
 from .kernel import solve_ir_only
 
 #: Wage differences below this are treated as flat when classifying schedules.
 FLAT_TOL = 1e-8
+#: Wage movements below this per eps step count as flat in the tilt sweeps.
+VERDICT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,12 @@ class FirstBestSolution:
     foc_residuals: tuple[float, ...]
 
 
-def solve_first_best(inst: ProblemInstance, action: str, tol: float = 1e-9) -> FirstBestSolution:
+def solve_first_best(inst: ProblemInstance, action: str) -> FirstBestSolution:
     """Solve the observable-action problem for one action.
 
     Args:
         inst: problem instance with strictly positive beliefs.
         action: name of the action to implement.
-        tol: participation residual tolerance (utils).
 
     Raises:
         NoBracket: required utility level unreachable for the utility family.
@@ -139,23 +140,6 @@ class DirectionReport:
     satisfied: bool
 
 
-def perturbed_distribution(dist, s: int, s_prime: int, eps: float):
-    """Move eps of probability mass from state s_prime onto state s."""
-    from .beliefs import Distribution
-
-    probs = list(dist.probs)
-    if s == s_prime:
-        raise ValidationError("perturbation needs two distinct states")
-    if eps < 0:
-        raise EpsilonTooLarge("eps must be >= 0")
-    if eps >= min(probs[s], probs[s_prime]):
-        raise EpsilonTooLarge(
-            f"eps={eps} not below min of the two perturbed probabilities")
-    probs[s] += eps
-    probs[s_prime] -= eps
-    return Distribution(tuple(probs))
-
-
 def first_best_compstat(inst: ProblemInstance, action: str, s: int, s_prime: int,
                         eps: float, tol: float = 1e-9):
     """Re-solve after tilting principal beliefs by eps from s_prime onto s.
@@ -169,19 +153,16 @@ def first_best_compstat(inst: ProblemInstance, action: str, s: int, s_prime: int
 
     Returns:
         (base solution, perturbed solution, DirectionReport).
+
+    Raises:
+        EpsilonTooLarge: eps < 0, or the tilt leaves the open simplex
+            (see ``Distribution.tilted``).
     """
-    from .beliefs import ActionSpec, ProblemInstance as _PI
-
-    act = inst.action(action)
-    tilted = perturbed_distribution(act.principal_beliefs, s, s_prime, eps)
-    new_actions = tuple(
-        a if a.name != action else
-        ActionSpec(a.name, a.cost, tilted, a.agent_beliefs)
-        for a in inst.actions)
-    tilted_inst = _PI(inst.outputs, new_actions, inst.reservation_utility, inst.utility)
-
-    base = solve_first_best(inst, action, tol=tol)
-    pert = solve_first_best(tilted_inst, action, tol=tol)
+    tilted = inst.tilted(Party.PRINCIPAL, action, s, s_prime, eps)
+    if eps < 0:
+        raise EpsilonTooLarge("eps must be >= 0: the report assumes mass moves onto s")
+    base = solve_first_best(inst, action)
+    pert = solve_first_best(tilted, action)
 
     strict_tol = max(10.0 * tol, 1e-10)
     weak, n_strict = [], 0

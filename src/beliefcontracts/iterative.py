@@ -18,7 +18,9 @@ Two inner programs live here:
     4-state solve exactly; the lumped program ignores the way the top payment
     responds to w_3 and its fixed point misses the optimum at first order.
     The reported outer objective is still delta4' * M(m) + C(m), which equals
-    the full expected wage bill identically.
+    the full expected wage bill identically.  The outer derivative is the
+    multiplier nu on the pinned spread (the envelope theorem), so the outer
+    step is a bracketed root-find on nu(m), not a search on cost values.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ import numpy as np
 
 from .beliefs import (MlrpOrder, ProblemInstance, mlrp_compare,
                       reduce_distribution)
-from .errors import (NegativeMultiplier, NoBracket, RangeError,
-                     ValidationError)
+from .errors import (BeliefContractsError, NegativeMultiplier, NoBracket,
+                     RangeError, ValidationError)
 from .kernel import minimize_on_affine, solve_ir_only
 from .utility import UtilityModel
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -244,16 +244,17 @@ class OuterSolution:
 
 
 def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
-    """Minimize delta4' * M(m) + C(m) over the spread by golden section.
+    """Minimize delta4' * M(m) + C(m) over the spread as a root of its multiplier.
 
-    The bracket starts at m = 0 and doubles upward until the objective turns;
-    it extends to negative spreads if the minimum sits at the lower edge.
-    The assembled contract satisfies the outer first-order condition
-    delta4' M'(m) = lam pi4' + mu Delta4' (its residual equals the spread
-    multiplier) and coincides with the direct 4-state solve.
+    By the envelope theorem the outer derivative G'(m) is the multiplier nu on
+    the pinned spread constraint, and G is convex, so the optimum is the root
+    of nu(m).  From m = 0 the search doubles its step in the direction of
+    -nu(0) until nu changes sign (a probe the solver refuses steps back toward
+    the last feasible spread), then narrows the bracket by Illinois regula
+    falsi to a relative width of 1e-12.  The assembled contract satisfies the
+    outer first-order condition delta4' M'(m) = lam pi4' + mu Delta4' (its
+    residual is nu) and coincides with the direct 4-state solve.
     """
-    from .errors import BeliefContractsError
-
     if float(sp.delta4[3]) == 0.0 and float(sp.pi4[3]) == 0.0 and float(sp.eta4[3]) == 0.0:
         # objective constant in the spread: return m* = 0 by convention,
         # assembled from the lumped 3-wage solve
@@ -267,86 +268,48 @@ def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
 
     trace: list[tuple[float, float, float, float]] = []
 
-    def objective(m: float) -> float:
+    def solve(m: float) -> _PinnedInner:
         inner = _pinned_inner(sp, m, tol)
         trace.append((float(m),) + _split(sp, inner))
-        return inner.cost_total
+        return inner
 
-    def try_objective(m: float) -> float | None:
+    # bracket a sign change of nu, walking downhill from m = 0
+    lo, f_lo = 0.0, solve(0.0)
+    step = math.copysign(0.25, -f_lo.nu)
+    hi, f_hi = lo, f_lo
+    while f_hi.nu * f_lo.nu > 0.0:
         try:
-            return objective(m)
+            f_hi = solve(lo + step)
         except BeliefContractsError:
-            return None
-
-    # bracket (lo, mid, hi) with the objective lowest in the middle
-    f0 = objective(0.0)
-    step = 0.25
-    f_up = try_objective(step)
-    for _ in range(40):
-        if f_up is not None:
-            break
-        step *= 0.5
-        if step < 1e-12:
-            raise NoBracket("no admissible positive spread next to m = 0")
-        f_up = try_objective(step)
-    if f_up < f0:
-        lo, mid, hi = 0.0, step, 2.0 * step
-        f_mid = f_up
-        for _ in range(200):
-            f_hi = try_objective(hi)
-            if f_hi is None:
-                hi = mid + 0.5 * (hi - mid)   # feasibility edge: shrink toward mid
-                if hi - mid < 1e-12:
-                    break
-                continue
-            if f_hi > f_mid:
-                break
-            lo, mid, f_mid = mid, hi, f_hi
-            hi = mid + 2.0 * (mid - lo)
-            if hi > 1e6:
+            step *= 0.5               # feasibility edge: step back toward lo
+            if abs(step) < 1e-12:
+                raise NoBracket(f"no admissible spread beyond m = {lo} "
+                                "in the descent direction") from None
+            continue
+        hi = lo + step
+        if f_hi.nu * f_lo.nu > 0.0:
+            lo, f_lo, step = hi, f_hi, 2.0 * step
+            if abs(lo) > 1e6:
                 raise NoBracket("outer objective keeps decreasing; spread unbounded")
-    else:
-        f_down = try_objective(-step)
-        if f_down is None or f_down >= f0:
-            lo, mid, hi = (-step if f_down is not None else 0.0), 0.0, step
-            if lo == mid:
-                lo = -1e-12   # minimum pinned at 0 from the left
-        else:
-            lo, mid, hi = -2.0 * step, -step, 0.0
-            f_mid = f_down
-            for _ in range(200):
-                f_lo = try_objective(lo)
-                if f_lo is None:
-                    lo = mid - 0.5 * (mid - lo)
-                    if mid - lo < 1e-12:
-                        break
-                    continue
-                if f_lo > f_mid:
-                    break
-                hi, mid, f_mid = mid, lo, f_lo
-                lo = mid - 2.0 * (hi - mid)
-                if lo < -1e6:
-                    raise NoBracket("outer objective keeps decreasing; spread unbounded")
 
-    # golden-section on [lo, hi]
-    xatol = 1e-11
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(300):
-        if hi - lo <= xatol:
+    # Illinois regula falsi: a is the latest iterate, b the bracket end where
+    # nu has the other sign; the value kept for b is halved each time b stays
+    a, f_a, nu_a, b, f_b, nu_b = hi, f_hi, f_hi.nu, lo, f_lo, f_lo.nu
+    for _ in range(200):
+        width = 1e-12 * max(abs(a), abs(b))
+        if nu_a == 0.0 or abs(a - b) <= width:
             break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
+        m = a - nu_a * (a - b) / (nu_a - nu_b)
+        # step at least half the target width inside the bracket, so that a
+        # root sitting on an end closes the bracket in one more solve
+        m = min(max(m, min(a, b) + 0.5 * width), max(a, b) - 0.5 * width)
+        f_m = solve(m)
+        if f_m.nu * nu_a < 0.0:
+            b, f_b, nu_b = a, f_a, nu_a
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    m_star = 0.5 * (lo + hi)
-    inner = _pinned_inner(sp, m_star, tol)
-    trace.append((float(m_star),) + _split(sp, inner))
+            nu_b *= 0.5
+        a, f_a, nu_a = m, f_m, f_m.nu
+    m_star, inner = min((a, f_a), (b, f_b), key=lambda pair: abs(pair[1].nu))
     return _assemble(sp, m_star, inner, trace=tuple(trace))
 
 

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import ProblemInstance
+from .beliefs import ProblemInstance, SolverKind
 from .errors import GridTooCoarse, NoFeasiblePoint, ValidationError
-
-#: mode switch shared with the sweep engine
-FIRST_BEST = "first_best"
-SECOND_BEST = "second_best"
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ def _validate(inst: ProblemInstance, target: str, grid: GridSpec):
 
 
 def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
-                    mode: str = SECOND_BEST) -> OracleResult:
+                    mode: SolverKind = SolverKind.SECOND_BEST) -> OracleResult:
     """Enumerate the grid and return the cheapest constraint-satisfying point.
 
     Participation is kept as a band |residual| <= constraint_tol; incentive
@@ -81,7 +77,7 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
     Guaranteed within one grid cell's cost variation of the optimum for the
     convex programs solved here.
     """
-    if mode not in (FIRST_BEST, SECOND_BEST):
+    if not isinstance(mode, SolverKind):
         raise ValidationError(f"unknown oracle mode {mode!r}")
     act, vals = _validate(inst, target, grid)
     model = inst.utility
@@ -93,7 +89,7 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
     h_vals = np.asarray(model.inverse(vals), dtype=float)
 
     ics = []
-    if mode == SECOND_BEST:
+    if mode is SolverKind.SECOND_BEST:
         for other in inst.other_actions(target):
             ics.append((q - other.agent_beliefs.as_array(), act.cost - other.cost))
 
@@ -154,7 +150,8 @@ class AuditReport:
 
 
 def oracle_audit(inst: ProblemInstance, target: str, grid: GridSpec,
-                 mode: str = SECOND_BEST, tol: float = 1e-9) -> AuditReport:
+                 mode: SolverKind = SolverKind.SECOND_BEST,
+                 tol: float = 1e-9) -> AuditReport:
     """Run solver and oracle side by side and compare costs.
 
     Raises:
@@ -163,10 +160,12 @@ def oracle_audit(inst: ProblemInstance, target: str, grid: GridSpec,
     from .first_best import solve_first_best
     from .second_best import solve_second_best
 
-    if mode == FIRST_BEST:
-        solver_cost = solve_first_best(inst, target, tol=tol).expected_cost_principal
-    else:
+    if mode is SolverKind.FIRST_BEST:
+        solver_cost = solve_first_best(inst, target).expected_cost_principal
+    elif mode is SolverKind.SECOND_BEST:
         solver_cost = solve_second_best(inst, target, tol=tol).expected_cost_principal
+    else:
+        raise ValidationError(f"unknown oracle mode {mode!r}")
     try:
         oracle = brute_force_min(inst, target, grid, mode)
     except NoFeasiblePoint as exc:

@@ -281,7 +281,7 @@ def choose_action(inst: ProblemInstance, tol: float = 1e-9) -> ActionChoiceRepor
     entries = []
     for act in inst.actions:
         sol = solve_second_best(inst, act.name, tol=tol)
-        fb = solve_first_best(inst, act.name, tol=tol)
+        fb = solve_first_best(inst, act.name)
         revenue = float(act.principal_beliefs.as_array() @ y)
         entries.append(ActionEntry(
             action=act.name,

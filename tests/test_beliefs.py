@@ -29,6 +29,47 @@ class TestDistribution:
         D(0.0, 1.0)
 
 
+class TestTilt:
+    def test_moves_mass_onto_s(self):
+        p = D(0.2, 0.3, 0.5)
+        assert p.tilted(0, 2, 0.1).probs == (0.2 + 0.1, 0.3, 0.5 - 0.1)
+        assert p.tilted(0, 2, -0.1).probs == (0.2 - 0.1, 0.3, 0.5 + 0.1)
+
+    def test_open_simplex_is_the_only_eps_limit(self):
+        p = D(0.2, 0.3, 0.5)
+        assert p.tilted(0, 2, 0.45).probs[0] == pytest.approx(0.65)
+        for eps in (0.5, 0.6, -0.2, float("nan")):
+            with pytest.raises(bc.EpsilonTooLarge):
+                p.tilted(0, 2, eps)
+
+    @pytest.mark.parametrize("s, s_prime", [(1, 1), (0, 3), (-1, 2)])
+    def test_needs_two_distinct_states(self, s, s_prime):
+        with pytest.raises(bc.ValidationError):
+            D(0.2, 0.3, 0.5).tilted(s, s_prime, 0.01)
+
+    def test_instance_tilt_touches_one_vector(self):
+        inst = bc.ProblemInstance(
+            (1.0, 2.0, 3.0),
+            (bc.ActionSpec("H", 0.5, D(0.2, 0.3, 0.5), D(0.1, 0.3, 0.6)),
+             bc.ActionSpec("L", 0.0, D(0.4, 0.3, 0.3), D(0.5, 0.3, 0.2))),
+            -1.0, bc.CaraUtility(r=1.0))
+        agent = inst.tilted(bc.Party.AGENT, "L", 1, 0, 0.05)
+        assert agent.action("L").agent_beliefs == D(0.5, 0.3, 0.2).tilted(1, 0, 0.05)
+        assert agent.action("L").principal_beliefs == inst.action("L").principal_beliefs
+        assert agent.action("H") == inst.action("H")
+        principal = inst.tilted(bc.Party.PRINCIPAL, "H", 2, 0, 0.1)
+        assert principal.action("H").principal_beliefs.probs == pytest.approx((0.1, 0.3, 0.6))
+        assert principal.action("H").agent_beliefs == inst.action("H").agent_beliefs
+        with pytest.raises(bc.ValidationError):
+            inst.tilted(bc.Party.AGENT, "M", 1, 0, 0.05)
+
+    def test_enums_live_next_to_the_tilt(self):
+        from beliefcontracts import beliefs, compstat
+        assert compstat.Party is beliefs.Party is bc.Party
+        assert compstat.SolverKind is beliefs.SolverKind is bc.SolverKind
+        assert not hasattr(bc.oracle, "FIRST_BEST")
+
+
 class TestMlrpCompare:
     def test_increasing_ratios_dominate(self):
         assert bc.mlrp_compare(D(0.1, 0.3, 0.6), D(0.6, 0.3, 0.1)) is MlrpOrder.F_DOMINATES_G

@@ -170,3 +170,19 @@ class TestCompstat:
     def test_eps_leaving_simplex(self):
         with pytest.raises(bc.EpsilonTooLarge):
             bc.cara_compstat(toy_system(), 1, 2, [0.3])
+
+    def test_eps_may_exceed_the_gaining_probability(self):
+        # principal (0.4, 0.35, 0.25): moving 0.3 from state 0 onto state 2
+        # keeps the open simplex, so the sweep runs
+        sys_ = toy_system()
+        sweep = bc.cara_compstat(sys_, 2, 0, [0.0, 0.25, 0.3])
+        assert len(sweep.wages) == 3
+        tilted = bc.CaraSystem(sys_.pi_high, sys_.pi_low, sys_.principal.tilted(2, 0, 0.3),
+                               sys_.cost, sys_.ubar)
+        numeric = bc.solve_second_best(bc.to_problem_instance(tilted), "H")
+        assert sweep.wages[-1] == pytest.approx(numeric.wages, abs=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.4, 0.5, -0.01])
+    def test_eps_leaving_the_simplex_or_negative_is_refused(self, eps):
+        with pytest.raises(bc.EpsilonTooLarge):
+            bc.cara_compstat(toy_system(), 2, 0, [0.0, eps])

@@ -73,6 +73,12 @@ class TestSweep:
             bc.sweep(cara_three_state(), "H", Party.PRINCIPAL, "H", 1, 2,
                      [0.0, 0.5], SolverKind.SECOND_BEST)
 
+    def test_solver_must_be_a_solver_kind(self):
+        # a string used to fall through to the second-best solver
+        with pytest.raises(bc.ValidationError):
+            bc.sweep(cara_three_state(), "H", Party.PRINCIPAL, "H", 1, 2,
+                     [0.0, 0.02], "first_best")
+
     def test_agent_side_sweep_runs(self):
         res = bc.sweep(cara_three_state(), "H", Party.AGENT, "L", 0, 2,
                        np.linspace(0.0, 0.05, 5), SolverKind.SECOND_BEST)
@@ -86,9 +92,8 @@ class TestRegimeDetection:
         eps = bc.detect_regime_change(inst, tilt, 0.45, target="H")
         assert eps is not None
         # beyond the flip the incentive constraint is slack and costs agree
-        from beliefcontracts.compstat import _tilted_instance
-        above = _tilted_instance(inst, Party.PRINCIPAL, "H", 0, 1, eps + 5e-3)
-        below = _tilted_instance(inst, Party.PRINCIPAL, "H", 0, 1, eps - 5e-3)
+        above = inst.tilted(Party.PRINCIPAL, "H", 0, 1, eps + 5e-3)
+        below = inst.tilted(Party.PRINCIPAL, "H", 0, 1, eps - 5e-3)
         assert bc.solve_second_best(above, "H").coincides_with_first_best
         assert not bc.solve_second_best(below, "H").coincides_with_first_best
 

@@ -46,7 +46,7 @@ class TestSolveFirstBest:
         assert sol.wages[0] == pytest.approx(lam * 0.5, rel=1e-9)
         assert sol.wages[1] == pytest.approx(lam * 1.5, rel=1e-9)
         grid = bc.GridSpec(-2.5, 3.5, 240)
-        res = bc.brute_force_min(inst, "a", grid, mode=bc.oracle.FIRST_BEST)
+        res = bc.brute_force_min(inst, "a", grid, mode=bc.SolverKind.FIRST_BEST)
         cell = bc.cell_cost_variation(inst, "a", grid)
         assert abs(res.cost - sol.expected_cost_principal) <= cell
 
@@ -158,7 +158,7 @@ class TestCompstat:
             span = max(float(vs.max() - vs.min()), 0.2)
             grid = bc.GridSpec(float(vs.min()) - 0.3 * span,
                                float(vs.max()) + 0.3 * span, 160)
-            res = bc.brute_force_min(inst, "a", grid, mode=bc.oracle.FIRST_BEST)
+            res = bc.brute_force_min(inst, "a", grid, mode=bc.SolverKind.FIRST_BEST)
             assert abs(res.cost - base.expected_cost_principal) <= \
                 bc.cell_cost_variation(inst, "a", grid)
 
@@ -180,3 +180,18 @@ class TestCompstat:
                           bc.CaraUtility(r=1.0))
         with pytest.raises(bc.EpsilonTooLarge):
             bc.first_best_compstat(inst, "a", 1, 2, 0.3)
+
+    def test_eps_may_exceed_the_gaining_probability(self):
+        # p_s <= eps < p_s' keeps the open simplex: 0.25 + 0.3 and 0.4 - 0.3
+        inst = one_action((0.4, 0.35, 0.25), (0.2, 0.3, 0.5), 0.3, -1.5,
+                          bc.CaraUtility(r=1.0))
+        base, pert, report = bc.first_best_compstat(inst, "a", 2, 0, 0.3)
+        assert pert.wages[2] < base.wages[2] and pert.wages[0] > base.wages[0]
+        assert report.satisfied
+
+    @pytest.mark.parametrize("eps", [0.4, 0.5, -0.01])
+    def test_eps_leaving_the_simplex_or_negative_is_refused(self, eps):
+        inst = one_action((0.4, 0.35, 0.25), (0.2, 0.3, 0.5), 0.3, -1.5,
+                          bc.CaraUtility(r=1.0))
+        with pytest.raises(bc.EpsilonTooLarge):
+            bc.first_best_compstat(inst, "a", 2, 0, eps)

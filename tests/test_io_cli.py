@@ -127,6 +127,21 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["within_tolerance"] is True
 
+    def test_first_best_switches(self):
+        # --mode and --solver both name a SolverKind
+        code, out = self.run("oracle-audit", "--problem", str(DATA / "log_binding.json"),
+                             "--points", "150", "--mode", "first-best")
+        assert code == 0
+        doc = json.loads(out)
+        fb = bc.solve_first_best(bc.load_problem(DATA / "log_binding.json"), "H")
+        assert doc["solver_cost"] == fb.expected_cost_principal
+        assert doc["within_tolerance"] is True
+        code, out = self.run("compstat", "--problem", str(DATA / "cara_three_state.json"),
+                             "--states", "1,2", "--eps-grid", "0:0.08:3",
+                             "--solver", "first-best", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["mu_path"] == [0.0, 0.0, 0.0]
+
     def test_compstat_csv(self):
         code, out = self.run("compstat", "--problem", str(DATA / "cara_three_state.json"),
                              "--states", "1,2", "--eps-grid", "0:0.08:5")

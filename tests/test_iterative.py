@@ -162,6 +162,62 @@ class TestOuter:
             assert abs(rep.cost_delta) <= 1e-8
             assert rep.max_wage_delta <= 1e-6
 
+    def test_root_of_the_spread_multiplier_in_few_solves(self, monkeypatch):
+        # G'(m) is the spread multiplier nu: a root-find on it needs few
+        # pinned solves, logs one trace row per solve and leaves the outer
+        # first-order residual (which is nu) at rounding level
+        from beliefcontracts import iterative
+        solves = []
+        pinned = iterative._pinned_inner
+        monkeypatch.setattr(iterative, "_pinned_inner",
+                            lambda *a: solves.append(a[1]) or pinned(*a))
+        rng = np.random.default_rng(51)
+        draws = [bc.SpreadProblem(chain_instance(), "H")]
+        draws += [four_state_spread_draw(rng) for _ in range(8)]
+        for sp in draws:
+            solves.clear()
+            out = bc.outer_minimize(sp)
+            assert [row[0] for row in out.trace] == solves
+            assert len(out.trace) <= 20
+            assert abs(out.outer_foc_residual) <= 1e-10
+
+    def test_refused_probe_steps_back_toward_the_last_feasible_spread(self, monkeypatch):
+        # pretend the pinned program is infeasible beyond m = 0.6 on a draw
+        # whose optimum (m* ~ 0.51) the doubling search would overshoot
+        from beliefcontracts import iterative
+        pinned = iterative._pinned_inner
+        refused = []
+
+        def edged(sp, m, tol):
+            if m > 0.6:
+                refused.append(m)
+                raise bc.Infeasible("beyond the test's feasibility edge")
+            return pinned(sp, m, tol)
+
+        rng = np.random.default_rng(51)
+        four_state_spread_draw(rng)
+        sp = four_state_spread_draw(rng)
+        monkeypatch.setattr(iterative, "_pinned_inner", edged)
+        out = bc.outer_minimize(sp)
+        direct = bc.solve_second_best(sp.base, "H")
+        assert refused and 0.5 < out.m_star < 0.6
+        assert max(row[0] for row in out.trace) <= 0.6
+        assert abs(out.cost_total - direct.expected_cost_principal) <= 1e-12
+        assert abs(out.outer_foc_residual) <= 1e-10
+
+    def test_no_admissible_spread_is_no_bracket(self, monkeypatch):
+        from beliefcontracts import iterative
+        pinned = iterative._pinned_inner
+
+        def only_zero(sp, m, tol):
+            if m != 0.0:
+                raise bc.Infeasible("only m = 0 is admissible here")
+            return pinned(sp, m, tol)
+
+        monkeypatch.setattr(iterative, "_pinned_inner", only_zero)
+        with pytest.raises(bc.NoBracket):
+            bc.outer_minimize(bc.SpreadProblem(chain_instance(), "H"))
+
     def test_cost_decomposition_identity(self):
         sp = bc.SpreadProblem(chain_instance(), "H")
         out = bc.outer_minimize(sp)

@@ -1,6 +1,7 @@
 """Brute-force grid minimizer: frozen cases, refinement, solver agreement."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import beliefcontracts as bc
 from support import grid_around, single_action_instance, two_action_instance
 
 D = lambda *p: bc.Distribution(tuple(p))
+DATA = Path(__file__).parent / "data"
 
 
 def log_two_state():
@@ -26,6 +28,19 @@ class TestGridSpec:
         with pytest.raises(bc.ValidationError):
             bc.GridSpec(0.0, 1.0, 2)
 
+    def test_mode_must_be_a_solver_kind(self):
+        inst = log_two_state()
+        grid = bc.GridSpec(-1.0, 2.0, 20)
+        # solve_second_best refuses this fixture; a bad mode is still what is reported
+        refused = bc.load_problem(DATA / "log_lstsq_underflow.json")
+        for mode in ("first_best", "second_best", None):
+            with pytest.raises(bc.ValidationError):
+                bc.brute_force_min(inst, "H", grid, mode=mode)
+            with pytest.raises(bc.ValidationError):
+                bc.oracle_audit(inst, "H", grid, mode=mode)
+            with pytest.raises(bc.ValidationError):
+                bc.oracle_audit(refused, "a1", grid, mode=mode)
+
     def test_default_tolerance_is_twice_the_step(self):
         g = bc.GridSpec(0.0, 1.0, 101)
         assert g.tol == pytest.approx(2 * 0.01)
@@ -38,7 +53,7 @@ class TestBruteForce:
             (bc.ActionSpec("a", 0.4, D(0.3, 0.7), D(0.3, 0.7)),),
             0.1, bc.LogUtility())
         grid = bc.GridSpec(-0.6, 1.6, 220)
-        res = bc.brute_force_min(inst, "a", grid, mode=bc.oracle.FIRST_BEST)
+        res = bc.brute_force_min(inst, "a", grid, mode=bc.SolverKind.FIRST_BEST)
         cell = bc.cell_cost_variation(inst, "a", grid)
         assert abs(res.cost - math.exp(0.5)) <= cell
 
@@ -81,7 +96,7 @@ class TestBruteForce:
         span = max(float(vs.max() - vs.min()), 0.3)
         grid = bc.GridSpec(float(vs.min() - 0.3 * span),
                            float(vs.max() + 0.3 * span), 150)
-        res = bc.brute_force_min(inst, "a", grid, mode=bc.oracle.FIRST_BEST)
+        res = bc.brute_force_min(inst, "a", grid, mode=bc.SolverKind.FIRST_BEST)
         assert abs(res.cost - sol.expected_cost_principal) <= \
             bc.cell_cost_variation(inst, "a", grid)
 

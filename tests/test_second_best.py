@@ -85,8 +85,7 @@ class TestSolveSecondBest:
         # with both constraints binding the two-state contract is pinned
         inst = log_two_state()
         base = bc.solve_second_best(inst, "H")
-        from beliefcontracts.compstat import _tilted_instance
-        tilted = _tilted_instance(inst, bc.Party.PRINCIPAL, "H", 0, 1, 1e-3)
+        tilted = inst.tilted(bc.Party.PRINCIPAL, "H", 0, 1, 1e-3)
         moved = bc.solve_second_best(tilted, "H")
         assert moved.wages == pytest.approx(base.wages, abs=1e-8)
 
