@@ -299,13 +299,16 @@ def cara_compstat(sys: CaraSystem, s: int, s_prime: int, eps_grid,
     """Re-solve the closed form along eps reallocations pi^P_s + eps,
     pi^P_{s'} - eps and report wage directions.
 
-    Every eps must be >= 0 (the directions assume mass moves onto s) and keep
-    the principal beliefs in the open simplex (see ``Distribution.tilted``);
-    otherwise EpsilonTooLarge is raised before any solve.
+    The grid must be non-empty (else ValidationError), and every eps must be
+    >= 0 (the directions assume mass moves onto s) and keep the principal
+    beliefs in the open simplex (see ``Distribution.tilted``); otherwise
+    EpsilonTooLarge is raised.  Both checks come before any solve.
     """
     if s == s_prime or not (0 <= s < 3 and 0 <= s_prime < 3):
         raise ValidationError("need two distinct states in {0, 1, 2}")
     eps_values = [float(e) for e in eps_grid]
+    if not eps_values:
+        raise ValidationError("eps grid is empty")
     if any(e < 0 for e in eps_values):
         raise EpsilonTooLarge("eps must be >= 0: the directions assume mass moves onto s")
     principals = [sys.principal.tilted(s, s_prime, e) for e in eps_values]

@@ -21,6 +21,9 @@ Two inner programs live here:
     the full expected wage bill identically.  The outer derivative is the
     multiplier nu on the pinned spread (the envelope theorem), so the outer
     step is a bracketed root-find on nu(m), not a search on cost values.
+
+Both run on ``second_best.solve_active_set``, started with the incentive
+constraint binding.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ import numpy as np
 
 from .beliefs import (MlrpOrder, ProblemInstance, mlrp_compare,
                       reduce_distribution)
-from .errors import (BeliefContractsError, NegativeMultiplier, NoBracket,
-                     RangeError, ValidationError)
-from .kernel import minimize_on_affine, solve_ir_only
+from .errors import BeliefContractsError, NoBracket, RangeError, ValidationError
+from .second_best import solve_active_set, solve_second_best
 from .utility import UtilityModel
 
 
@@ -155,33 +157,20 @@ def _shifted_rhs(sp: SpreadProblem, m: float) -> tuple[float, float]:
 def inner_cost(sp: SpreadProblem, m: float, tol: float = 1e-9) -> InnerSolution:
     """Solve the lumped 3-wage program at spread m.
 
-    Participation binds; the incentive constraint is kept as an equality
-    unless its multiplier turns negative, in which case the risk-sharing
-    solution is returned (the incentive constraint then holds with slack).
+    Participation binds.  The active-set search starts with the incentive
+    constraint as an equality and drops it if its multiplier turns negative,
+    returning the risk-sharing solution (the constraint then holds with slack).
     """
-    model = sp.base.utility
     weights = sp.reduced_delta
-    pi = sp.reduced_pi
-    drow = sp.reduced_pi - sp.reduced_eta
     ir_rhs, ic_rhs = _shifted_rhs(sp, m)
-
-    sol = minimize_on_affine(weights, np.vstack([pi, drow]), np.array([ir_rhs, ic_rhs]),
-                             model)
-    lam, mu = sol.multipliers
-    if mu >= -tol:
-        return InnerSolution(m=float(m), cost=sol.cost, wages=sol.wages,
-                             utility_levels=sol.v, lam=float(lam), mu=float(mu),
-                             ic_binding=True)
-    v, w, lam = solve_ir_only(weights, pi, model, ir_rhs)
-    slack = float(drow @ v) - ic_rhs
-    if slack < -tol:
-        raise NegativeMultiplier(
-            "inner program: negative incentive multiplier yet the risk-sharing "
-            "contract violates the incentive constraint")
+    v, w, theta, active = solve_active_set(
+        weights, [sp.reduced_pi], [ir_rhs], [(sp.reduced_pi - sp.reduced_eta, ic_rhs)],
+        sp.base.utility, tol, start=frozenset({0}))
+    lam, mu = theta if active else (*theta, 0.0)
     return InnerSolution(m=float(m), cost=float(weights @ w),
                          wages=tuple(float(x) for x in w),
                          utility_levels=tuple(float(x) for x in v),
-                         lam=float(lam), mu=0.0, ic_binding=False)
+                         lam=float(lam), mu=float(mu), ic_binding=bool(active))
 
 
 def envelope_derivative(sp: SpreadProblem, inner: InnerSolution) -> float:
@@ -202,29 +191,16 @@ class _PinnedInner:
 
 
 def _pinned_inner(sp: SpreadProblem, m: float, tol: float) -> _PinnedInner:
-    """4-state solve with the spread v_4 - v_3 = m pinned as a constraint."""
-    model = sp.base.utility
+    """4-state solve with the spread v_4 - v_3 = m pinned as an equality (the
+    last row), searched from a binding incentive constraint as in ``inner_cost``."""
     weights = sp.delta4
-    spread_row = np.array([0.0, 0.0, -1.0, 1.0])
-    drow = sp.pi4 - sp.eta4
-    M = np.vstack([sp.pi4, drow, spread_row])
-    r = np.array([sp.level, sp.cost_gap, m])
-    sol = minimize_on_affine(weights, M, r, model)
-    lam, mu, nu = sol.multipliers
-    if mu < -tol:
-        M2 = np.vstack([sp.pi4, spread_row])
-        r2 = np.array([sp.level, m])
-        sol2 = minimize_on_affine(weights, M2, r2, model)
-        slack = float(drow @ np.asarray(sol2.v)) - sp.cost_gap
-        if slack < -tol:
-            raise NegativeMultiplier(
-                "pinned inner: negative incentive multiplier yet risk sharing "
-                "violates the incentive constraint")
-        lam2, nu2 = sol2.multipliers
-        return _PinnedInner(cost_total=sol2.cost, v=sol2.v, wages=sol2.wages,
-                            lam=float(lam2), mu=0.0, nu=float(nu2), ic_binding=False)
-    return _PinnedInner(cost_total=sol.cost, v=sol.v, wages=sol.wages,
-                        lam=float(lam), mu=float(mu), nu=float(nu), ic_binding=True)
+    v, w, theta, active = solve_active_set(
+        weights, [sp.pi4, np.array([0.0, 0.0, -1.0, 1.0])], [sp.level, m],
+        [(sp.pi4 - sp.eta4, sp.cost_gap)], sp.base.utility, tol, start=frozenset({0}))
+    lam, mu, nu = theta if active else (theta[0], 0.0, *theta[1:])
+    return _PinnedInner(cost_total=float(weights @ w), v=tuple(float(x) for x in v),
+                        wages=tuple(float(x) for x in w), lam=float(lam), mu=float(mu),
+                        nu=float(nu), ic_binding=bool(active))
 
 
 @dataclass(frozen=True)
@@ -363,8 +339,6 @@ class EquivalenceReport:
 
 def equivalence_report(sp: SpreadProblem, tol: float = 1e-9) -> EquivalenceReport:
     """Solve both ways and report the deltas (they agree at solver precision)."""
-    from .second_best import solve_second_best
-
     outer = outer_minimize(sp, tol=tol)
     direct = solve_second_best(sp.base, sp.target, tol=tol)
     wage_delta = max(abs(a - b) for a, b in zip(outer.wages, direct.wages))

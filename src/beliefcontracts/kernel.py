@@ -27,7 +27,8 @@ Every utility evaluation goes through the checked public ``UtilityModel``
 methods, and none is repeated at a point already evaluated: the multiplier
 Newton pass takes the line search's accepted trial point, as evaluated
 there, for its next iterate, and the polish in ``solve_ir_only`` evaluates
-the residual and the wages at the bisected multiplier once.
+the residual and the wages at the bisected multiplier once (and is skipped
+when the starting multiplier already zeroes the residual).
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
         return float(probs @ model.evaluate(wages_at(lam))) - rhs
 
     lam0 = float(model.inverse_derivative(rhs))   # 1/u' at the constant wage h(rhs)
-    r0 = residual(lam0)
+    w0 = wages_at(lam0)
+    v0 = model.evaluate(w0)
+    r0 = float(probs @ v0) - rhs
     if r0 < 0.0:
         lo, hi = lam0, lam0
         for _ in range(_MAX_BRACKET):
@@ -102,7 +105,8 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
         else:
             raise NoBracket("participation residual never becomes non-positive")
     else:
-        lo = hi = lam0
+        # lam0 zeroes the residual: the polish would return it unchanged
+        return np.asarray(v0, dtype=float), np.asarray(w0, dtype=float), lam0
 
     for _ in range(_MAX_BISECT):
         if hi - lo <= 1e-12 * max(1.0, abs(hi)):
@@ -308,7 +312,6 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
     iterations = 0
     theta, resid, rel = relative_stationarity(v)
     if k:
-        best = (rel, z.copy(), v.copy(), theta, resid)
         for iterations in range(1, _MAX_NEWTON + 1):
             if rel <= 1e-13:
                 break
@@ -347,10 +350,6 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
                 break
             if np.max(np.abs(v)) > 1e14:
                 raise Unbounded("iterates diverge along the feasible subspace")
-            if rel < best[0]:
-                best = (rel, z.copy(), v.copy(), theta, resid)
-        if best[0] < rel:
-            rel, z, v, theta, resid = best[0], best[1], best[2], best[3], best[4]
 
     if rel > 1e-9:
         # stationarity failed: either the optimum sits on the utility-range

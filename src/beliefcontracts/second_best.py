@@ -12,6 +12,9 @@ contract; if some incentive constraint fails, it runs an active-set loop over
 binding constraint subsets, each subproblem solved by equality-constrained
 Newton (see kernel).  The principal's beliefs about non-target actions never
 enter the contract, only the action choice.
+
+``solve_active_set`` is that loop; the spread decomposition's inner programs
+(see iterative) run on it too.
 """
 
 from __future__ import annotations
@@ -80,6 +83,49 @@ def _ic_rows(inst: ProblemInstance, target: str):
     return q, rows, rhs, names
 
 
+def solve_active_set(weights, eq_rows, eq_rhs, ineqs, model, tol: float,
+                     start: frozenset[int] = frozenset()):
+    """Minimize sum_s weights_s h(v_s) s.t. eq_rows v = eq_rhs (row 0 is
+    participation) and row v >= rhs for each (row, rhs, ...) in ``ineqs``.
+
+    Each working set of inequality indices is solved from scratch, its rows
+    stacked as participation, active inequalities by index, eq_rows[1:]; the
+    participation row alone goes to ``solve_ir_only``.  From ``start`` the
+    worst violated inequality (slack < -tol) joins, else the most negative
+    multiplier (< -tol) leaves.  Returns (v, wages, theta, active), theta
+    ordered as the stacked rows; NegativeMultiplier if a working set recurs
+    or 100 were tried.
+    """
+    def solve_working_set(active: frozenset[int]):
+        order = sorted(active)
+        if len(eq_rows) == 1 and not order:
+            v, w, lam = solve_ir_only(weights, eq_rows[0], model, eq_rhs[0])
+            return np.asarray(v), np.asarray(w), np.array([lam])
+        M = np.vstack([eq_rows[0]] + [ineqs[i][0] for i in order] + list(eq_rows[1:]))
+        r = np.array([eq_rhs[0]] + [ineqs[i][1] for i in order] + list(eq_rhs[1:]))
+        sol = minimize_on_affine(weights, M, r, model)
+        return np.asarray(sol.v), np.asarray(sol.wages), np.asarray(sol.multipliers)
+
+    active = frozenset(start)
+    seen = {active}
+    for _ in range(_MAX_ACTIVE_SET):
+        v, w, theta = solve_working_set(active)
+        slacks = [row @ v - rv for row, rv, *_ in ineqs]
+        violated = [i for i in range(len(ineqs)) if i not in active and slacks[i] < -tol]
+        if violated:
+            active = active | {min(violated, key=lambda i: slacks[i])}
+        else:
+            mult = dict(zip(sorted(active), theta[1:]))
+            negative = [i for i in active if mult[i] < -tol]
+            if not negative:
+                return v, w, theta, active
+            active = active - {min(negative, key=lambda i: mult[i])}
+        if active in seen:
+            raise NegativeMultiplier("active-set search revisited a working set")
+        seen.add(active)
+    raise NegativeMultiplier("active-set search did not settle on a binding pattern")
+
+
 def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
                       wage_box: tuple[float, float] | None = None) -> SecondBestSolution:
     """Solve the hidden-action cost-minimization program for ``target``.
@@ -119,46 +165,7 @@ def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
             e[s] = 1.0
             ineqs.append((e, v_lo, "lo", s))          # v_s >= v_lo
             ineqs.append((-e, -v_hi, "hi", s))        # -v_s >= -v_hi
-    n_ineq = len(ineqs)
-
-    def solve_working_set(active: frozenset[int]):
-        if not active:
-            v, w, lam = solve_ir_only(delta, q, model, level)
-            return np.asarray(v), np.asarray(w), np.array([lam])
-        M = np.vstack([q] + [ineqs[i][0] for i in sorted(active)])
-        r = np.array([level] + [ineqs[i][1] for i in sorted(active)])
-        sol = minimize_on_affine(delta, M, r, model)
-        return np.asarray(sol.v), np.asarray(sol.wages), np.asarray(sol.multipliers)
-
-    active: frozenset[int] = frozenset()
-    seen = {active}
-    v = w = theta = None
-    for _ in range(_MAX_ACTIVE_SET):
-        v, w, theta = solve_working_set(active)
-        slacks = np.array([row @ v - rv for row, rv, _, _ in ineqs]) if n_ineq else np.array([])
-        inactive = [i for i in range(n_ineq) if i not in active]
-        violated = [i for i in inactive if slacks[i] < -tol]
-        if violated:
-            worst = min(violated, key=lambda i: slacks[i])
-            candidate = active | {worst}
-            if candidate in seen:
-                raise NegativeMultiplier("active-set search revisited a working set")
-            active = candidate
-            seen.add(active)
-            continue
-        mult = dict(zip(sorted(active), theta[1:]))
-        negative = [i for i in active if mult[i] < -tol]
-        if negative:
-            worst = min(negative, key=lambda i: mult[i])
-            candidate = active - {worst}
-            if candidate in seen:
-                raise NegativeMultiplier("active-set search revisited a working set")
-            active = candidate
-            seen.add(active)
-            continue
-        break
-    else:
-        raise NegativeMultiplier("active-set search did not settle on a binding pattern")
+    v, w, theta, active = solve_active_set(delta, [q], [level], ineqs, model, tol)
 
     active_sorted = sorted(active)
     active_ics = [i for i in active_sorted if ineqs[i][2] == "ic"]

@@ -208,6 +208,22 @@ def four_state_spread_draw(rng, require_binding=True):
     raise RuntimeError("4-state spread sampling exhausted")
 
 
+def optimistic_agent_spread():
+    """4-state chain whose agent is optimistic enough that no spread makes the
+    incentive constraint bind: the second best is the risk-sharing contract."""
+    D = lambda *p: bc.Distribution(tuple(p))
+    inst = bc.ProblemInstance(
+        outputs=(1.0, 2.0, 3.0, 4.0),
+        actions=(
+            bc.ActionSpec("H", 0.1, D(0.28, 0.27, 0.25, 0.20), D(0.05, 0.10, 0.25, 0.60)),
+            bc.ActionSpec("L", 0.0, D(0.40, 0.30, 0.18, 0.12), D(0.40, 0.30, 0.18, 0.12)),
+        ),
+        reservation_utility=-1.5,
+        utility=bc.CaraUtility(r=1.0),
+    )
+    return bc.SpreadProblem(inst, "H")
+
+
 def mlrp_pair(rng, S, min_p=0.01):
     g = rand_simplex(rng, S, min_p=0.02)
     f = ratio_ladder(rng, g, min_p=min_p)

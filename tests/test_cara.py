@@ -182,6 +182,12 @@ class TestCompstat:
         numeric = bc.solve_second_best(bc.to_problem_instance(tilted), "H")
         assert sweep.wages[-1] == pytest.approx(numeric.wages, abs=1e-6)
 
+    def test_empty_grid_is_refused_before_any_solve(self, monkeypatch):
+        from beliefcontracts import cara
+        monkeypatch.setattr(cara, "solve_system", None)   # any solve would fail
+        with pytest.raises(bc.ValidationError):
+            bc.cara_compstat(toy_system(), 1, 2, [])
+
     @pytest.mark.parametrize("eps", [0.4, 0.5, -0.01])
     def test_eps_leaving_the_simplex_or_negative_is_refused(self, eps):
         with pytest.raises(bc.EpsilonTooLarge):

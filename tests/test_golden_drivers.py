@@ -5,7 +5,10 @@ kinds, both parties), ``detect_regime_change``, ``cara_compstat`` and
 ``first_best_compstat`` return on draws built from ``support``'s
 generators: the error class, or every returned float as its ``repr``.  The
 eps values stay inside the domain every version of the drivers accepts, plus
-a few that every version refuses.  Regenerate (only when an output change is
+a few that every version refuses.  The spread decomposition's ``inner_cost``,
+pinned-spread program, ``outer_minimize`` and ``equivalence_report`` follow,
+on spread draws from their own generator (binding and unrestricted) and on an
+instance whose incentive constraint never binds.  Regenerate (only when an output change is
 intended) with::
 
     PYTHONPATH=src python tests/test_golden_drivers.py --write
@@ -21,11 +24,15 @@ import numpy as np
 import pytest
 
 import beliefcontracts as bc
-from support import (FAMILY_NAMES, cara_system_draw, single_action_instance,
+from beliefcontracts import iterative
+from support import (FAMILY_NAMES, cara_system_draw, four_state_spread_draw,
+                     optimistic_agent_spread, single_action_instance,
                      two_action_instance)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_drivers.json"
 SEED = 20240612
+SPREAD_SEED = 20240613
+SPREADS = (-0.5, 0.0, 0.2, 0.5, 1.0, 2.0, 3.0)
 PAIRS = ((1, 2), (0, 2), (2, 0), (1, 0))
 
 
@@ -80,6 +87,55 @@ def _first_best(inst, s, s_prime, eps) -> dict:
             "satisfied": rep.satisfied}
 
 
+def _inner(sp, m) -> dict:
+    inner = bc.inner_cost(sp, m)
+    return {"cost": repr(float(inner.cost)), "wages": _floats(inner.wages),
+            "v": _floats(inner.utility_levels),
+            "multipliers": _floats((inner.lam, inner.mu)),
+            "ic_binding": inner.ic_binding}
+
+
+def _pinned(sp, m) -> dict:
+    pinned = iterative._pinned_inner(sp, m, 1e-9)
+    return {"cost": repr(float(pinned.cost_total)), "wages": _floats(pinned.wages),
+            "v": _floats(pinned.v),
+            "multipliers": _floats((pinned.lam, pinned.mu, pinned.nu)),
+            "ic_binding": pinned.ic_binding}
+
+
+def _outer(sp) -> dict:
+    out = bc.outer_minimize(sp)
+    return {"m_star": repr(float(out.m_star)), "wages": _floats(out.wages),
+            "v": _floats(out.utility_levels),
+            "multipliers": _floats((out.lam, out.mu)),
+            "cost": _floats((out.cost_total, out.top_payment, out.cost_inner)),
+            "foc": repr(float(out.outer_foc_residual)),
+            "trace": [_floats(row) for row in out.trace]}
+
+
+def _equivalence(sp) -> dict:
+    rep = bc.equivalence_report(sp)
+    return {"deltas": _floats((rep.cost_iterative, rep.cost_direct, rep.cost_delta,
+                               rep.max_wage_delta, rep.lam_delta, rep.mu_delta,
+                               rep.m_star, rep.outer_foc_residual))}
+
+
+def spread_outcomes() -> dict:
+    rng = np.random.default_rng(SPREAD_SEED)
+    draws = [(f"binding-{i}", four_state_spread_draw(rng)) for i in range(5)]
+    draws += [(f"any-{i}", four_state_spread_draw(rng, require_binding=False))
+              for i in range(5)]
+    draws.append(("optimistic-agent", optimistic_agent_spread()))
+    out = {}
+    for tag, sp in draws:
+        for m in SPREADS:
+            out[f"inner-{tag}-m{m}"] = _guarded(_inner, sp, m)
+            out[f"pinned-{tag}-m{m}"] = _guarded(_pinned, sp, m)
+        out[f"outer-{tag}"] = _guarded(_outer, sp)
+        out[f"equivalence-{tag}"] = _guarded(_equivalence, sp)
+    return out
+
+
 def outcomes() -> dict:
     rng = np.random.default_rng(SEED)
     out = {}
@@ -119,6 +175,7 @@ def outcomes() -> dict:
                              ("negative", -1e-3), ("off-simplex", p[s_prime])):
                 out[f"first-best-{name}-S{S}-{tag}"] = _guarded(
                     _first_best, inst, s, s_prime, eps)
+    out.update(spread_outcomes())
     return out
 
 

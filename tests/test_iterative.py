@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beliefcontracts as bc
-from support import four_state_spread_draw, grid_around
+from support import four_state_spread_draw, grid_around, optimistic_agent_spread
 
 D = lambda *p: bc.Distribution(tuple(p))
 
@@ -153,6 +153,24 @@ class TestOuter:
         assert abs(rep.lam_delta) <= 1e-6
         assert abs(rep.mu_delta) <= 1e-6
         assert abs(rep.outer_foc_residual) <= 1e-6
+
+    def test_slack_incentive_constraint_at_every_spread(self):
+        # an agent sufficiently more optimistic than the principal: risk
+        # sharing already gives incentives, in both inner programs and in the
+        # direct solve, and the decomposition still reproduces the latter
+        from beliefcontracts.iterative import _pinned_inner
+        sp = optimistic_agent_spread()
+        for m in (0.0, 0.2, 0.5, 1.0):
+            for inner in (bc.inner_cost(sp, m), _pinned_inner(sp, m, 1e-9)):
+                assert inner.ic_binding is False
+                assert inner.mu == 0.0
+        rep = bc.equivalence_report(sp)
+        assert abs(rep.cost_delta) <= 1e-8
+        assert rep.max_wage_delta <= 1e-6
+        assert abs(rep.lam_delta) <= 1e-6
+        assert abs(rep.mu_delta) <= 1e-6
+        assert abs(rep.outer_foc_residual) <= 1e-6
+        assert bc.solve_second_best(sp.base, "H").coincides_with_first_best
 
     def test_random_draws_match_direct(self):
         rng = np.random.default_rng(51)

@@ -1,4 +1,4 @@
-"""Numerical core: evaluation reuse inside the multiplier Newton pass."""
+"""Numerical core: evaluation reuse in the multiplier searches."""
 
 from pathlib import Path
 
@@ -45,3 +45,21 @@ def test_dual_start_never_evaluates_a_point_twice_in_a_row(monkeypatch):
     repeats = [(i, k) for i, p in enumerate(passes) for k in range(1, len(p))
                if np.array_equal(p[k], p[k - 1])]
     assert repeats == []
+
+
+def test_ir_only_returns_at_a_starting_multiplier_that_zeroes_the_residual(monkeypatch):
+    """Homogeneous beliefs: the constant-wage multiplier solves risk sharing,
+    so solve_ir_only evaluates inverse_marginal there once and returns."""
+    calls = []
+    original = bc.LogUtility.inverse_marginal
+
+    def inverse_marginal(self, m):
+        calls.append(np.array(m, dtype=float, copy=True))
+        return original(self, m)
+
+    inst = bc.load_problem(DATA / "log_binding.json")
+    monkeypatch.setattr(bc.LogUtility, "inverse_marginal", inverse_marginal)
+    sol = bc.solve_first_best(inst, "H")
+    assert len(calls) == 1
+    assert sol.wages[0] == sol.wages[1]
+    assert sol.ir_residual == 0.0
