@@ -29,11 +29,30 @@ Newton pass takes the line search's accepted trial point, as evaluated
 there, for its next iterate, and the polish in ``solve_ir_only`` evaluates
 the residual and the wages at the bisected multiplier once (and is skipped
 when the starting multiplier already zeroes the residual).
+
+The multiplier line search tries alpha = 2^-k for k = 0, ..., 49 and admits
+a step only where the computed coefficients M^T (theta + alpha step) are all
+positive.  When the full step fails that test, the halvings that provably
+fail it too are skipped instead of tried.  With c = M^T theta and
+d = M^T step as computed, the computed entry s of the trial coefficients
+exceeds c_s + alpha d_s by at most e (a_s + alpha b_s) + t_s, where
+a = |M|^T |theta|, b = |M|^T |step|, e = 4 (m + 2) u for m rows and
+u = 2^-53, and t_s = 4 (3 m + sum_i |M_is|) 2^-1074.  These are over twice
+the (2m + 1) u that the three matrix-vector products and the sum
+theta + alpha step can lose (Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 3.5) and 8 times what underflow can lose; the excess
+covers the rounding of the thresholds that follow.  For each state with
+d_s + e b_s < 0 the computed entry is non-positive at every
+alpha >= (c_s + e a_s + t_s) / -(d_s + e b_s), so the search resumes at the
+first halving below the smallest such threshold.  The exact test still
+decides every halving that is tried, so the accepted step, every iterate
+and every output are bit-identical to trying all halvings in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -43,6 +62,9 @@ from .utility import UtilityModel
 _MAX_BRACKET = 200
 _MAX_BISECT = 200
 _MAX_NEWTON = 80
+_MAX_HALVINGS = 50
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 @dataclass(frozen=True)
@@ -175,6 +197,35 @@ def _pivot_columns(M: np.ndarray) -> list[int]:
     return cols
 
 
+def _positive_coefficients(M: np.ndarray, theta: np.ndarray):
+    """M^T theta when every entry is positive, else None.
+
+    The only test that admits a step of the multiplier line search.
+    """
+    coef = M.T @ theta
+    return coef if (coef > 0.0).all() else None
+
+
+def _resume_halving(M: np.ndarray, theta: np.ndarray, step: np.ndarray) -> int:
+    """First halving k >= 1 that the rounding bound does not prove to fail the
+    positivity test at theta + 2^-k step (see the module docstring); every
+    earlier halving fails it in floating point too."""
+    m = M.shape[0]
+    absMT = np.abs(M.T)
+    e = 4.0 * (m + 2) * _UNIT_ROUNDOFF
+    upper = (M.T @ theta + e * (absMT @ np.abs(theta))
+             + 4.0 * (absMT.sum(axis=1) + 3 * m) * _SMALLEST_SUBNORMAL)
+    slope = M.T @ step + e * (absMT @ np.abs(step))
+    falling = slope < 0.0
+    with np.errstate(over="ignore"):      # an infinite threshold proves nothing
+        thresholds = upper[falling] / -slope[falling]
+    alpha_star = np.fmin.reduce(thresholds, initial=np.inf)   # skips a NaN threshold
+    if alpha_star <= 0.0:
+        return _MAX_HALVINGS
+    # 2^(E-1) <= alpha_star < 2^E, so 2^-k >= 2^E > alpha_star for every k < 1 - E
+    return min(_MAX_HALVINGS, max(1, 1 - frexp(alpha_star)[1]))
+
+
 def _dual_start(weights, M, r, model, lam0):
     """Damped Newton on the multiplier system; yields a strictly interior v.
 
@@ -186,6 +237,7 @@ def _dual_start(weights, M, r, model, lam0):
     theta = np.zeros(m)
     theta[0] = lam0
     best_v, best_res = None, np.inf
+    res_tol = 1e-11 * max(1.0, float(np.abs(r).max()))
     v = None
     for _ in range(_MAX_NEWTON):
         if v is None:
@@ -195,10 +247,10 @@ def _dual_start(weights, M, r, model, lam0):
             w = model.inverse_marginal(weights / coef)
             v = np.asarray(model.evaluate(w), dtype=float)
             g = M @ v - r
-        res = float(np.max(np.abs(g)))
+        res = float(np.abs(g).max())
         if res < best_res:
             best_v, best_res = v, res
-        if res < 1e-11 * max(1.0, float(np.max(np.abs(r)))):
+        if res < res_tol:
             break
         curv = 1.0 / (weights * model.inverse_second_derivative(v))
         J = M @ (curv[:, None] * M.T)
@@ -207,19 +259,22 @@ def _dual_start(weights, M, r, model, lam0):
         except np.linalg.LinAlgError:
             break
         # an accepted trial point becomes the next iterate as evaluated here
-        alpha, v = 1.0, None
-        for _ in range(50):
-            coef2 = M.T @ (theta + alpha * step)
-            if (coef2 > 0.0).all():
-                w2 = model.inverse_marginal(weights / coef2)
-                v2 = np.asarray(model.evaluate(w2), dtype=float)
-                g2 = M @ v2 - r
-                if np.abs(g2).max() < res or alpha < 1e-8:
-                    v, g = v2, g2
-                    break
-            alpha *= 0.5
-        theta = theta + alpha * step
-        if np.max(np.abs(theta)) > 1e12:
+        k, v = 0, None
+        while k < _MAX_HALVINGS:
+            alpha = ldexp(1.0, -k)
+            coef2 = _positive_coefficients(M, theta + alpha * step)
+            if coef2 is None:
+                k = _resume_halving(M, theta, step) if k == 0 else k + 1
+                continue
+            w2 = model.inverse_marginal(weights / coef2)
+            v2 = np.asarray(model.evaluate(w2), dtype=float)
+            g2 = M @ v2 - r
+            if np.abs(g2).max() < res or alpha < 1e-8:
+                v, g = v2, g2
+                break
+            k += 1
+        theta = theta + ldexp(1.0, -k) * step
+        if np.abs(theta).max() > 1e12:
             raise Infeasible("multiplier iteration diverged: constraint set is empty "
                              "or touches the utility-range boundary")
     if best_v is None:
@@ -297,7 +352,8 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
         The fit minimizes the per-state relative residual so tiny-target
         states (steep marginal utility) do not drown in the large ones.
         """
-        hp = np.asarray(model.inverse_derivative(vv), dtype=float)
+        with np.errstate(over="ignore"):     # an overflow is refused just below
+            hp = np.asarray(model.inverse_derivative(vv), dtype=float)
         target = weights * hp
         if not ((target > 0.0) & (target < np.inf)).all():
             # lstsq would fail or loop forever on the non-finite scaled rows

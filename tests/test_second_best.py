@@ -1,6 +1,7 @@
 """Hidden-action solver: hand-solved cases, KKT certificates, diagnostics."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,29 @@ class TestSolveSecondBest:
         inst = bc.load_problem(DATA / "log_lstsq_underflow.json")
         with pytest.raises(bc.KKTDegeneracy, match="stationarity scale"):
             bc.solve_second_best(inst, "a1")
+
+    @pytest.mark.parametrize("name, target, boxed", [
+        ("log_overflow_warning.json", "a3", False),
+        ("log_overflow_wage_box.json", "a4", True),
+    ])
+    def test_overflowing_first_order_scale_is_refused_without_a_warning(
+            self, name, target, boxed):
+        # weight_s h'(v_s) = weight_s exp(v_s) overflows to inf on these log
+        # draws (the second only inside a wage box cut from its free wages);
+        # the refusal is the only signal, no numpy RuntimeWarning leaks
+        inst = bc.load_problem(DATA / name)
+        box = None
+        if boxed:
+            free = bc.solve_second_best(inst, target)
+            lo, hi = min(free.wages), max(free.wages)
+            box = (lo + 0.3 * (hi - lo), hi + 1.0)
+        message = ("stationarity scale weight_s h'(v_s) left (0, inf): the first-order "
+                   "conditions are conditioned beyond double precision")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bc.KKTDegeneracy) as refused:
+                bc.solve_second_best(inst, target, wage_box=box)
+        assert str(refused.value) == message
 
     def test_wage_box_pins_and_reports(self):
         # slack incentives: capping the top wage re-optimizes along participation
