@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class CaraSystem:
         principal: principal beliefs for the costly action.
         cost: effort-cost gap c = c(H) - c(L) > 0 (c(L) normalized to 0).
         ubar: reservation utility, negative in the exponential family.
+
+    The derived constants (delta, the kappas, gamma2, r2, r3) are computed
+    once per instance, on first use, and reused by every step of the w1
+    bisection; ``dataclasses.replace`` builds a new instance with its own.
     """
 
     pi_high: Distribution
@@ -73,34 +78,34 @@ class CaraSystem:
         if not g2 + self.delta.values[1] / self.delta.values[0] > 0:
             raise ValidationError("gamma2 + Delta_1/Delta_0 must be positive")
 
-    @property
+    @cached_property
     def delta(self) -> DeltaVector:
         hi = self.pi_high.as_array()
         lo = self.pi_low.as_array()
         return DeltaVector(tuple(hi - lo))
 
-    @property
+    @cached_property
     def kappa21(self) -> float:
         return kappa(self.delta, self.pi_high, 1, 0)
 
-    @property
+    @cached_property
     def kappa31(self) -> float:
         return kappa(self.delta, self.pi_high, 2, 0)
 
-    @property
+    @cached_property
     def kappa32(self) -> float:
         return kappa(self.delta, self.pi_high, 2, 1)
 
-    @property
+    @cached_property
     def gamma2(self) -> float:
         return -self.kappa21 / self.delta.values[0]
 
-    @property
+    @cached_property
     def r3(self) -> float:
         """-Delta_2 ubar + c * pi_low_2 > 0 (top-state elimination constant)."""
         return -self.delta.values[2] * self.ubar + self.cost * self.pi_low.probs[2]
 
-    @property
+    @cached_property
     def r2(self) -> float:
         """-Delta_1 ubar + c * pi_low_1 (middle-state elimination constant)."""
         return -self.delta.values[1] * self.ubar + self.cost * self.pi_low.probs[1]

@@ -360,7 +360,13 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
             raise KKTDegeneracy(
                 "stationarity scale weight_s h'(v_s) left (0, inf): the first-order "
                 "conditions are conditioned beyond double precision")
-        scaled = M.T / target[:, None]
+        with np.errstate(over="ignore"):     # an overflow is refused just below
+            scaled = M.T / target[:, None]
+        if not np.isfinite(scaled).all():
+            # a tiny but positive scale overflows the rows; lstsq would never return
+            raise KKTDegeneracy(
+                "scaled stationarity rows M^T / (weight_s h'(v_s)) overflowed: the "
+                "first-order conditions are conditioned beyond double precision")
         theta_fit, *_ = np.linalg.lstsq(scaled, np.ones(S), rcond=None)
         resid = target - M.T @ theta_fit
         return theta_fit, resid, float(np.max(np.abs(resid) / target))

@@ -243,3 +243,61 @@ def grid_around(inst, utility_levels, points, pad=0.3):
     if np.isfinite(r_hi):
         hi = min(hi, r_hi - 1e-6 * span)
     return bc.GridSpec(lo, hi, points)
+
+
+def brute_force_min_reference(inst, target, grid, mode=bc.SolverKind.SECOND_BEST):
+    """The per-head enumeration ``brute_force_min`` replaced, kept verbatim as
+    the reference its sorted-window search must match bit for bit."""
+    if not isinstance(mode, bc.SolverKind):
+        raise bc.ValidationError(f"unknown oracle mode {mode!r}")
+    act = inst.action(target)
+    if inst.n_states > 4:
+        raise bc.ValidationError("oracle supports at most 4 states")
+    model = inst.utility
+    vals = grid.values()
+    if not (model.contains_utility(float(vals[0])) and model.contains_utility(float(vals[-1]))):
+        raise bc.ValidationError("grid leaves the utility range")
+    S = inst.n_states
+    q = act.agent_beliefs.as_array()
+    delta = act.principal_beliefs.as_array()
+    level = inst.reservation_utility + act.cost
+    ctol = grid.tol
+    h_vals = np.asarray(model.inverse(vals), dtype=float)
+
+    ics = []
+    if mode is bc.SolverKind.SECOND_BEST:
+        for other in inst.other_actions(target):
+            ics.append((q - other.agent_beliefs.as_array(), act.cost - other.cost))
+
+    tail = np.add.outer(q[S - 2] * vals, q[S - 1] * vals)
+    tail_cost = np.add.outer(delta[S - 2] * h_vals, delta[S - 1] * h_vals)
+    tail_ic = [np.add.outer(row[S - 2] * vals, row[S - 1] * vals) for row, _ in ics]
+
+    best_cost = np.inf
+    best_idx = None
+    head_shape = (len(vals),) * (S - 2)
+    for head in np.ndindex(head_shape):
+        head_v = vals[list(head)] if head else np.zeros(0)
+        ir_head = float(q[:S - 2] @ head_v) if head else 0.0
+        mask = np.abs(ir_head + tail - level) <= ctol
+        if not mask.any():
+            continue
+        for k, (row, rhs) in enumerate(ics):
+            ic_head = float(row[:S - 2] @ head_v) if head else 0.0
+            mask &= (ic_head + tail_ic[k] - rhs) >= -ctol
+            if not mask.any():
+                break
+        if not mask.any():
+            continue
+        cost_head = float(delta[:S - 2] @ np.asarray(model.inverse(head_v))) if head else 0.0
+        costs = np.where(mask, cost_head + tail_cost, np.inf)
+        j = np.unravel_index(int(np.argmin(costs)), costs.shape)
+        if costs[j] < best_cost:
+            best_cost = float(costs[j])
+            best_idx = head + j
+
+    if best_idx is None:
+        raise bc.NoFeasiblePoint("no grid point satisfies the constraints at this tolerance")
+    v = tuple(float(vals[i]) for i in best_idx)
+    w = tuple(float(model.inverse(x)) for x in v)
+    return bc.OracleResult(cost=best_cost, v=v, wages=w)

@@ -83,6 +83,25 @@ class TestSolve:
         assert abs(sol.ic_residual) <= 1e-8
         assert sol.lam > 0 and sol.mu >= 0
 
+    def test_derived_constants_are_built_once_per_system(self, monkeypatch):
+        # the w1 bisection evaluates the pivot gap hundreds of times; the
+        # belief-derived constants are built once, however many steps it takes
+        from beliefcontracts import cara
+        built = {"DeltaVector": 0, "kappa": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                built[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cara, "DeltaVector", counted("DeltaVector", cara.DeltaVector))
+        monkeypatch.setattr(cara, "kappa", counted("kappa", cara.kappa))
+        for tol in (1e-6, 1e-12, 1e-15):
+            built.update(DeltaVector=0, kappa=0)
+            bc.solve_system(toy_system(), tol=tol)
+            assert built == {"DeltaVector": 1, "kappa": 3}
+
     def test_matches_numeric_second_best(self):
         rng = np.random.default_rng(41)
         for _ in range(20):

@@ -19,10 +19,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cli_process(*argv):
-    """The CLI in a fresh interpreter that imports the package from this checkout."""
+    """The CLI in a fresh interpreter that imports the package from this checkout.
+
+    A numpy RuntimeWarning in the child is an error there, as it is in this
+    test process, so a leaked warning cannot pass unnoticed.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "beliefcontracts.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "beliefcontracts.cli", *argv],
                           capture_output=True, text=True, env=env)
 
 MINIMAL = """
@@ -201,6 +206,15 @@ class TestCli:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error[KKTDegeneracy]: stationarity scale")
+
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_non_finite_oracle_grid_is_refused_without_a_warning(self, bound):
+        proc = cli_process("oracle-audit", "--problem", str(DATA / "log_binding.json"),
+                           "--v-lo", "-1", "--v-hi", bound)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error[ValidationError]: grid bounds must be finite")
+        assert "Warning" not in proc.stderr
 
     def test_figure_data_csv(self):
         code, out = self.run("figure-data", "--problem", str(DATA / "log_binding.json"),

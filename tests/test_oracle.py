@@ -1,13 +1,17 @@
 """Brute-force grid minimizer: frozen cases, refinement, solver agreement."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import beliefcontracts as bc
-from support import grid_around, single_action_instance, two_action_instance
+from beliefcontracts.oracle import _band_window
+from support import (FAMILY_NAMES, brute_force_min_reference, draw_costs_and_reservation,
+                     grid_around, make_family, rand_outputs, rand_simplex, ratio_ladder,
+                     single_action_instance, two_action_instance)
 
 D = lambda *p: bc.Distribution(tuple(p))
 DATA = Path(__file__).parent / "data"
@@ -27,6 +31,25 @@ class TestGridSpec:
             bc.GridSpec(1.0, 0.0, 50)
         with pytest.raises(bc.ValidationError):
             bc.GridSpec(0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("v_lo, v_hi", [
+        (-1.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (-1.0, math.nan), ("-1", 2.0),
+    ])
+    def test_bounds_must_be_finite_numbers(self, v_lo, v_hi):
+        # refused on construction, before np.linspace can warn about them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bc.ValidationError, match="finite numbers"):
+                bc.GridSpec(v_lo, v_hi, 30)
+
+    @pytest.mark.parametrize("points", [3.5, 30.0, "30", None])
+    def test_points_per_dim_must_be_an_integer(self, points):
+        with pytest.raises(bc.ValidationError, match="integer points_per_dim"):
+            bc.GridSpec(-1.0, 2.0, points)
+
+    def test_numpy_scalars_are_accepted(self):
+        g = bc.GridSpec(np.float64(-1.0), np.float64(2.0), np.int64(4))
+        assert list(g.values()) == [-1.0, 0.0, 1.0, 2.0]
 
     def test_mode_must_be_a_solver_kind(self):
         inst = log_two_state()
@@ -99,6 +122,134 @@ class TestBruteForce:
         res = bc.brute_force_min(inst, "a", grid, mode=bc.SolverKind.FIRST_BEST)
         assert abs(res.cost - sol.expected_cost_principal) <= \
             bc.cell_cost_variation(inst, "a", grid)
+
+
+def oracle_outcome(fn, inst, target, grid, mode):
+    """The repr of every returned float, or the error class."""
+    try:
+        res = fn(inst, target, grid, mode)
+    except bc.BeliefContractsError as exc:
+        return type(exc).__name__
+    return repr((res.cost, res.v, res.wages))
+
+
+def reference_draw(rng, S, A, family):
+    """A actions whose agent beliefs rise in MLRP order with their cost,
+    independent principal beliefs (a third of the time uniform, so that
+    symmetric tail costs tie exactly) and a grid around the second-best
+    utilities (around the participation level if that solve is refused),
+    clamped to the utility range."""
+    costs, ubar = draw_costs_and_reservation(rng, family, A)
+    uniform = rng.random() < 0.3
+    agent = [rand_simplex(rng, S)]
+    for _ in range(A - 1):
+        agent.append(ratio_ladder(rng, agent[-1], lo=1.05, hi=1.6))
+    actions = tuple(
+        bc.ActionSpec(f"a{i}", costs[i],
+                      D(*(np.full(S, 1.0 / S) if uniform else rand_simplex(rng, S))),
+                      D(*agent[i]))
+        for i in range(A))
+    inst = bc.ProblemInstance(rand_outputs(rng, S), actions, ubar, make_family(family))
+    levels = [ubar + costs[-1] - 2.0, ubar + costs[-1] + 2.0]
+    try:
+        solved = bc.solve_second_best(inst, f"a{A - 1}").utility_levels
+    except bc.BeliefContractsError:
+        solved = levels
+    if max(map(abs, solved)) < 50.0:     # keeps every grid wage finite
+        levels = solved
+    return inst, grid_around(inst, levels, REFERENCE_POINTS[S], pad=rng.uniform(0.1, 0.5))
+
+
+REFERENCE_POINTS = {2: 80, 3: 40, 4: 14}
+
+
+class TestReferenceLoop:
+    """``brute_force_min`` returns what the per-head loop it replaced returns
+    (``support.brute_force_min_reference``), bit for bit."""
+
+    @pytest.mark.parametrize("S", [2, 3, 4])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_seeded_draws(self, S, family):
+        rng = np.random.default_rng([S, FAMILY_NAMES.index(family)])
+        outcomes = []
+        for A in (2, 3) * 4:
+            inst, grid = reference_draw(rng, S, A, family)
+            target = f"a{A - 1}"
+            # constraint_tol: the default 2 * step, none at all, a quarter step
+            for tol in (None, 0.0, 0.25 * grid.step):
+                g = bc.GridSpec(grid.v_lo, grid.v_hi, grid.points_per_dim, tol)
+                for mode in bc.SolverKind:
+                    expected = oracle_outcome(brute_force_min_reference, inst, target, g, mode)
+                    assert oracle_outcome(bc.brute_force_min, inst, target, g, mode) == expected
+                    outcomes.append(expected)
+        assert sum(o.startswith("(") for o in outcomes) >= 16
+        assert "NoFeasiblePoint" in outcomes
+
+    @pytest.mark.parametrize("S", [2, 3, 4])
+    def test_zero_tolerance_on_exact_sums(self, S):
+        # dyadic agent beliefs on a grid of eighths make every q . v exact, so
+        # points on the participation hyperplane pass with no tolerance at all
+        agent = {2: (0.25, 0.75), 3: (0.25, 0.25, 0.5), 4: (0.125, 0.125, 0.25, 0.5)}[S]
+        rng = np.random.default_rng(S)
+        inst = bc.ProblemInstance(
+            rand_outputs(rng, S),
+            (bc.ActionSpec("H", 1.0, D(*rand_simplex(rng, S)), D(*agent)),
+             bc.ActionSpec("L", 0.0, D(*rand_simplex(rng, S)), D(*agent[::-1]))),
+            0.0, bc.LogUtility())
+        grid = bc.GridSpec(-2.0, 2.0, 33, 0.0)
+        for mode in bc.SolverKind:
+            expected = oracle_outcome(brute_force_min_reference, inst, "H", grid, mode)
+            assert expected.startswith("(")
+            assert oracle_outcome(bc.brute_force_min, inst, "H", grid, mode) == expected
+
+    @pytest.mark.parametrize("S", [2, 3, 4])
+    def test_grid_with_no_feasible_point(self, S):
+        inst, grid = reference_draw(np.random.default_rng(S), S, 2, "log")
+        far = bc.GridSpec(grid.v_hi + 5.0, grid.v_hi + 6.0, REFERENCE_POINTS[S])
+        for mode in bc.SolverKind:
+            assert oracle_outcome(brute_force_min_reference, inst, "a1", far, mode) == \
+                oracle_outcome(bc.brute_force_min, inst, "a1", far, mode) == "NoFeasiblePoint"
+
+    def test_nan_cost_skips_its_head(self):
+        # a zero principal probability times an overflowed wage makes some
+        # feasible costs NaN; the loop passed over every head holding one
+        inst = bc.ProblemInstance(
+            (1.0, 2.0, 3.0),
+            (bc.ActionSpec("H", 0.5, D(0.5, 0.5, 0.0), D(0.2, 0.3, 0.5)),
+             bc.ActionSpec("L", 0.0, D(0.4, 0.3, 0.3), D(0.4, 0.3, 0.3))),
+            0.5, bc.LogUtility())
+        grid = bc.GridSpec(-720.0, 720.0, 49)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mode in bc.SolverKind:
+                expected = oracle_outcome(brute_force_min_reference, inst, "H", grid, mode)
+                assert expected.startswith("(")
+                assert oracle_outcome(bc.brute_force_min, inst, "H", grid, mode) == expected
+
+
+class TestBandWindow:
+    """Every tail sum left out of a head's window fails the exact band test."""
+
+    @pytest.mark.parametrize("scale_exp", [(-300, 300), (-320, -308)])
+    def test_sums_at_the_rounding_edge(self, scale_exp):
+        # tail sums within a few dozen ulps of each head's band edges and
+        # centre, where a window with no rounding margin loses passing points;
+        # the second range reaches into the subnormals
+        rng = np.random.default_rng(-scale_exp[0])
+        passed = 0
+        for trial in range(300):
+            scale = 10.0 ** rng.uniform(*scale_exp)
+            level = scale * rng.uniform(-2.0, 2.0)
+            heads = scale * rng.uniform(-2.0, 2.0, 6)
+            tol = [0.0, scale * rng.uniform(0.0, 1e-15), scale * rng.uniform(0.0, 1.0)][trial % 3]
+            centres = np.concatenate([level - heads - tol, level - heads, level - heads + tol])
+            ulps = np.spacing(np.abs(centres))
+            tail = np.sort((centres[:, None] + np.arange(-24, 25) * ulps[:, None]).ravel())
+            first, stop = _band_window(tail, heads, level, tol)
+            for a, lo, hi in zip(heads, first, stop):
+                inside = np.flatnonzero(np.abs(a + tail - level) <= tol)
+                passed += inside.size
+                assert inside.size == 0 or (lo <= inside[0] and inside[-1] < hi)
+        assert passed > 0
 
 
 class TestAudit:

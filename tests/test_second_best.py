@@ -1,6 +1,9 @@
 """Hidden-action solver: hand-solved cases, KKT certificates, diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -162,6 +165,33 @@ class TestSolveSecondBest:
             with pytest.raises(bc.KKTDegeneracy) as refused:
                 bc.solve_second_best(inst, target, wage_box=box)
         assert str(refused.value) == message
+
+    def test_overflowing_stationarity_rows_are_refused_before_lstsq(self):
+        # weight_s h'(v_s) stays positive and finite inside this wage box but is
+        # so small that M^T / (weight_s h'(v_s)) overflows; lstsq then printed a
+        # LAPACK DLASCL error and never returned, so the solve runs in a child
+        # that is killed if it hangs
+        script = (
+            "import sys\n"
+            "import beliefcontracts as bc\n"
+            "inst = bc.load_problem(sys.argv[1])\n"
+            "free = bc.solve_second_best(inst, 'a4')\n"
+            "lo, hi = min(free.wages), max(free.wages)\n"
+            "try:\n"
+            "    bc.solve_second_best(inst, 'a4', wage_box=(lo + 0.3 * (hi - lo), hi + 1.0))\n"
+            "except bc.BeliefContractsError as exc:\n"
+            "    print(f'{type(exc).__name__}: {exc}')\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+             str(DATA / "log_lstsq_hang_wage_box.json")],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("KKTDegeneracy: scaled stationarity rows")
+        assert "RuntimeWarning" not in proc.stderr
+        assert "DLASCL" not in proc.stderr
 
     def test_wage_box_pins_and_reports(self):
         # slack incentives: capping the top wage re-optimizes along participation
