@@ -7,9 +7,9 @@ sum_s weight_s * h(v_s) is convex because h = u^-1 is convex.
 Two entry points:
 
 ``solve_ir_only``
-    Risk sharing against a single binding expected-utility constraint,
-    solved by bracketing + bisecting the multiplier (the constraint residual
-    is strictly increasing in it) with one Newton polish.
+    Risk sharing against a single binding expected-utility constraint: its
+    multiplier is bracketed (the constraint residual is strictly increasing
+    in it) and then found by Newton steps safeguarded by bisection.
 
 ``minimize_on_affine``
     min sum_s weight_s h(v_s)  subject to  M v = r  for a full-row-rank M.
@@ -18,17 +18,19 @@ Two entry points:
     Newton after eliminating m coordinates through the constraints, so every
     iterate satisfies M v = r exactly.
 
-Neither takes a tolerance: the cut-offs are fixed.  Bisection stops at a
-relative bracket width of 1e-12, the reduced Newton at a relative
-stationarity of 1e-13, and a relative stationarity above 1e-9 next to the
-utility-range boundary is refused as a boundary optimum.
+Neither takes a tolerance: the cut-offs are fixed.  The risk-sharing
+multiplier search stops when the Newton correction is at most 4 u lam
+(u = 2^-53) or the sign bracket is at most 1e-12 relative wide, the reduced
+Newton at a relative stationarity of 1e-13, and a relative stationarity
+above 1e-9 next to the utility-range boundary is refused as a boundary
+optimum.
 
 Every utility evaluation goes through the checked public ``UtilityModel``
 methods, and none is repeated at a point already evaluated: the multiplier
 Newton pass takes the line search's accepted trial point, as evaluated
-there, for its next iterate, and the polish in ``solve_ir_only`` evaluates
-the residual and the wages at the bisected multiplier once (and is skipped
-when the starting multiplier already zeroes the residual).
+there, for its next iterate, and ``solve_ir_only`` keeps the wages of every
+multiplier it tries, returns those of the best one, and takes the marginal
+utility for its Newton slope from the argument of ``inverse_marginal``.
 
 The multiplier line search tries alpha = 2^-k for k = 0, ..., 49 and admits
 a step only where the computed coefficients M^T (theta + alpha step) are all
@@ -60,7 +62,7 @@ from .errors import Infeasible, KKTDegeneracy, NoBracket, Unbounded
 from .utility import UtilityModel
 
 _MAX_BRACKET = 200
-_MAX_BISECT = 200
+_MAX_ROOT = 200
 _MAX_NEWTON = 80
 _MAX_HALVINGS = 50
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -83,10 +85,17 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
                   rhs: float):
     """Minimize sum weights_s w_s subject to sum probs_s u(w_s) = rhs.
 
-    The first-order condition is weights_s = lam * probs_s * u'(w_s); the
-    constraint residual R(lam) is strictly increasing, so lam is found by
-    doubling/halving from the constant-wage multiplier until R changes sign,
-    bisection, and a final Newton step.
+    The first-order condition is weights_s = lam * probs_s * u'(w_s), so
+    w_s = (u')^-1(m_s) with m_s = weights_s / (probs_s lam).  The constraint
+    residual R(lam) is strictly increasing, with
+    R'(lam) = -(1/lam) sum_s probs_s m_s^2 / u''(w_s).  From the
+    constant-wage multiplier, doubling or halving finds a sign bracket; then
+    a safeguarded Newton iteration (Numerical Recipes' ``rtsafe``) starts at
+    the bracket end with the smaller |R|, takes the Newton step when it lands
+    strictly inside the bracket and bisects otherwise.  It stops when the
+    Newton correction is at most 4 u lam (u = 2^-53) or the bracket is at
+    most 1e-12 relative wide, and returns the evaluated multiplier with the
+    smallest |R|.
 
     Returns:
         (v, wages, lam) with v_s = u(w_s).
@@ -100,59 +109,58 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
 
     ratio = weights / probs
 
-    def wages_at(lam: float) -> np.ndarray:
-        return model.inverse_marginal(ratio / lam)
-
-    def residual(lam: float) -> float:
-        return float(probs @ model.evaluate(wages_at(lam))) - rhs
+    def point(lam: float):
+        """(lam, wages, v, R(lam)), the wages and utilities as evaluated."""
+        w = model.inverse_marginal(ratio / lam)
+        v = model.evaluate(w)
+        return lam, w, v, float(probs @ v) - rhs
 
     lam0 = float(model.inverse_derivative(rhs))   # 1/u' at the constant wage h(rhs)
-    w0 = wages_at(lam0)
-    v0 = model.evaluate(w0)
-    r0 = float(probs @ v0) - rhs
-    if r0 < 0.0:
-        lo, hi = lam0, lam0
+    lo = hi = point(lam0)
+    if lo[3] < 0.0:
         for _ in range(_MAX_BRACKET):
-            hi *= 2.0
-            if residual(hi) >= 0.0:
+            hi = point(2.0 * lo[0])
+            if hi[3] >= 0.0:
                 break
+            lo = hi
         else:
             raise NoBracket("participation residual never becomes non-negative")
-    elif r0 > 0.0:
-        lo, hi = lam0, lam0
+    elif lo[3] > 0.0:
         for _ in range(_MAX_BRACKET):
-            lo *= 0.5
-            if residual(lo) <= 0.0:
+            lo = point(0.5 * hi[0])
+            if lo[3] <= 0.0:
                 break
+            hi = lo
         else:
             raise NoBracket("participation residual never becomes non-positive")
     else:
-        # lam0 zeroes the residual: the polish would return it unchanged
-        return np.asarray(v0, dtype=float), np.asarray(w0, dtype=float), lam0
+        # lam0 zeroes the residual: nothing to improve
+        return np.asarray(lo[2], dtype=float), np.asarray(lo[1], dtype=float), lam0
 
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
+    best = cur = lo if abs(lo[3]) <= abs(hi[3]) else hi
+    for _ in range(_MAX_ROOT):
+        lam, w, _, r = cur
+        m = ratio / lam
+        rprime = -float(probs @ (m * m / model.second_derivative(w))) / lam
+        if 0.0 < rprime < np.inf:
+            step = r / rprime
+            if abs(step) <= 4.0 * _UNIT_ROUNDOFF * lam:
+                break
         else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-
-    # one Newton polish: R'(lam) = -(1/lam) sum probs_s m_s^2 / u''(w_s) > 0
-    w = wages_at(lam)
-    m = model.marginal(w)
-    rprime = -(probs @ (m * m / model.second_derivative(w))) / lam
-    v = model.evaluate(w)
-    if rprime > 0.0:
-        r_lam = float(probs @ v) - rhs
-        cand = lam - r_lam / rprime
-        if cand > 0.0:
-            w_cand = wages_at(cand)
-            v_cand = model.evaluate(w_cand)
-            if lo <= cand <= hi or abs(float(probs @ v_cand) - rhs) < abs(r_lam):
-                lam, w, v = cand, w_cand, v_cand
+            step = np.nan                 # no usable slope: bisect
+        if hi[0] - lo[0] <= 1e-12 * hi[0]:
+            break
+        cand = lam - step
+        if not lo[0] < cand < hi[0]:
+            cand = 0.5 * (lo[0] + hi[0])
+        cur = point(cand)
+        if abs(cur[3]) < abs(best[3]):
+            best = cur
+        if cur[3] < 0.0:
+            lo = cur
+        else:
+            hi = cur
+    lam, w, v, _ = best
     return np.asarray(v, dtype=float), np.asarray(w, dtype=float), float(lam)
 
 

@@ -24,7 +24,9 @@ product, the only operation here that can lose an absolute amount.  So every
 point outside the window fails the band in floating point too, and inside it
 the plain tests decide.  Ties in cost go to the first point in C order, as a
 plain scan with a strict comparison would choose.  The returned point and
-its cost are the ones the full enumeration returns, bit for bit.
+its cost are the ones the full enumeration returns, bit for bit.  A point
+whose cost is NaN (a zero principal probability times a wage that overflowed
+to inf) is dropped, as an infinite wage is no contract.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
     delta = act.principal_beliefs.as_array()
     level = inst.reservation_utility + act.cost
     ctol = grid.tol
-    h_vals = np.asarray(model.inverse(vals), dtype=float)
+    with np.errstate(over="ignore"):      # an overflowed wage is inf
+        h_vals = np.asarray(model.inverse(vals), dtype=float)
     n = len(vals)
 
     ics = []
@@ -153,7 +156,8 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
     tail = np.add.outer(q[S - 2] * vals, q[S - 1] * vals).ravel()     # IR part
     order = np.argsort(tail, kind="stable")
     tail = tail[order]
-    tail_cost = np.add.outer(delta[S - 2] * h_vals, delta[S - 1] * h_vals).ravel()[order]
+    with np.errstate(invalid="ignore"):   # 0 * inf is NaN, passed over below
+        tail_cost = np.add.outer(delta[S - 2] * h_vals, delta[S - 1] * h_vals).ravel()[order]
     tail_ic = [np.add.outer(row[S - 2] * vals, row[S - 1] * vals).ravel()[order]
                for row, _ in ics]
     ir_head = per_head(q, vals)
@@ -180,15 +184,9 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
             keep &= (ic_head[k][hid] + tail_ic[k][pos] - rhs) >= -ctol
         hid, pos = hid[keep], pos[keep]
         costs = cost_head[hid] + tail_cost[pos]
-        if not costs.size:
-            continue
-        low = costs.min()
-        if np.isnan(low):
-            # a head with a NaN among its feasible costs offers no point: its
-            # argmin is the NaN, which never beats the best
-            keep = ~np.isin(hid, hid[np.isnan(costs)])
-            hid, pos, costs = hid[keep], pos[keep], costs[keep]
-            low = costs.min(initial=np.inf)
+        # fmin passes over a NaN cost, 0 times an overflowed wage: an
+        # infinite wage is no contract, and NaN never equals the minimum
+        low = np.fmin.reduce(costs, initial=np.inf)
         if low < best_cost:
             tied = np.flatnonzero(costs == low)
             flat = hid[tied] * n * n + order[pos[tied]]

@@ -7,6 +7,9 @@ draws are verified by an actual solve before being handed to a test.
 
 from __future__ import annotations
 
+import json
+import sys
+
 import numpy as np
 
 import beliefcontracts as bc
@@ -301,3 +304,63 @@ def brute_force_min_reference(inst, target, grid, mode=bc.SolverKind.SECOND_BEST
     v = tuple(float(vals[i]) for i in best_idx)
     w = tuple(float(model.inverse(x)) for x in v)
     return bc.OracleResult(cost=best_cost, v=v, wages=w)
+
+
+#: Largest relative move |new - old| / max(1, |old|) a golden leaf may make
+#: for ``--compare`` to pass.
+GOLDEN_DRIFT_TOL = 1e-12
+
+
+def _as_float(leaf):
+    """The float a golden leaf spells as its ``repr``, or None."""
+    if not isinstance(leaf, str):
+        return None
+    try:
+        return float(leaf)
+    except ValueError:
+        return None
+
+
+def golden_drift(old, new, path=""):
+    """Yield (path, old, new, relative move) for every leaf that differs
+    between two golden outcome trees.  Numeric leaves (``repr`` floats) move
+    by |new - old| / max(1, |old|); any other change (an error class, a
+    verdict, a missing key or a list length) moves by inf, as does a float
+    that turns non-finite or NaN."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in dict.fromkeys([*old, *new]):
+            if key in old and key in new:
+                yield from golden_drift(old[key], new[key], f"{path}/{key}")
+            else:
+                yield f"{path}/{key}", old.get(key), new.get(key), np.inf
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from golden_drift(a, b, f"{path}[{i}]")
+    elif old != new:
+        a, b = _as_float(old), _as_float(new)
+        if a is None or b is None or not (np.isfinite(a) and np.isfinite(b)):
+            yield path, old, new, np.inf
+        else:
+            yield path, old, new, abs(b - a) / max(1.0, abs(a))
+
+
+def golden_main(path, outcomes, argv) -> int:
+    """Command line of a golden test file: ``--write`` rewrites ``path`` from
+    ``outcomes()``; ``--compare`` prints every leaf that moved against it and
+    fails above GOLDEN_DRIFT_TOL or on any non-numeric change."""
+    if argv == ["--write"]:
+        path.write_text(json.dumps(outcomes(), indent=1) + "\n", encoding="utf-8")
+        return 0
+    if argv != ["--compare"]:
+        print(f"usage: PYTHONPATH=src python {sys.argv[0]} {{--write,--compare}}")
+        return 2
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    moved = list(golden_drift(golden, outcomes()))
+    for where, old, new, rel in moved:
+        print(f"{where}: {old} -> {new}  rel {rel:.3g}")
+    worst = max((rel for *_, rel in moved), default=0.0)
+    cases = {where.split("/")[1] for where, *_ in moved}
+    print(f"{len(moved)} leaves moved in {len(cases)} of {len(golden)} cases; "
+          f"largest relative move {worst:.3g}; "
+          f"{sum(rel == np.inf for *_, rel in moved)} non-numeric changes")
+    return 1 if worst > GOLDEN_DRIFT_TOL else 0

@@ -12,6 +12,10 @@ instance whose incentive constraint never binds.  Regenerate (only when an outpu
 intended) with::
 
     PYTHONPATH=src python tests/test_golden_drivers.py --write
+
+Before rewriting, ``--compare`` prints every leaf that would move, with
+|new - old| / max(1, |old|) for floats, and every changed error class or
+other non-numeric leaf; it exits non-zero above 1e-12 or on any such change.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import pytest
 
 import beliefcontracts as bc
 from beliefcontracts import iterative
-from support import (FAMILY_NAMES, cara_system_draw, four_state_spread_draw,
+from support import (FAMILY_NAMES, cara_system_draw, four_state_spread_draw, golden_main,
                      optimistic_agent_spread, single_action_instance,
                      two_action_instance)
 
@@ -199,6 +203,4 @@ def test_driver_outcomes_are_bit_identical(golden, current):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden_drivers.py --write")
-    GOLDEN.write_text(json.dumps(outcomes(), indent=1) + "\n", encoding="utf-8")
+    sys.exit(golden_main(GOLDEN, outcomes, sys.argv[1:]))

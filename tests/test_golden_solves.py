@@ -9,6 +9,10 @@ reproduce every entry exactly.  Regenerate (only when an output change is
 intended) with::
 
     PYTHONPATH=src python tests/test_golden_solves.py --write
+
+Before rewriting, ``--compare`` prints every leaf that would move, with
+|new - old| / max(1, |old|) for floats, and every changed error class or
+other non-numeric leaf; it exits non-zero above 1e-12 or on any such change.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 import pytest
 
 import beliefcontracts as bc
-from support import (FAMILY_NAMES, draw_costs_and_reservation, make_family, rand_outputs,
-                     rand_simplex, ratio_ladder)
+from support import (FAMILY_NAMES, draw_costs_and_reservation, golden_drift, golden_main,
+                     make_family, rand_outputs, rand_simplex, ratio_ladder)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_solves.json"
 SEED = 20240611
@@ -102,7 +106,17 @@ def test_outcomes_are_bit_identical(golden, current):
     assert not moved, f"outcomes changed on {len(moved)} draws, e.g. {moved[:5]}"
 
 
+
+def test_drift_report_measures_floats_and_flags_other_changes():
+    old = {"x": {"wages": ["1.0", "-4.0"], "cost": "3.0"}, "y": {"error": "Infeasible"},
+           "z": {"verdicts": ["flat"]}}
+    new = {"x": {"wages": ["1.0", "-4.000000000001"], "cost": "nan"},
+           "y": {"error": "KKTDegeneracy"}, "z": {"verdicts": ["flat", "increasing"]}}
+    moved = {where: rel for where, _, _, rel in golden_drift(old, new)}
+    assert moved.keys() == {"/x/wages[1]", "/x/cost", "/y/error", "/z/verdicts"}
+    assert moved["/x/wages[1]"] == pytest.approx(0.25e-12)
+    assert moved["/x/cost"] == moved["/y/error"] == moved["/z/verdicts"] == np.inf
+    assert list(golden_drift(old, old)) == []
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden_solves.py --write")
-    GOLDEN.write_text(json.dumps(outcomes(), indent=1) + "\n", encoding="utf-8")
+    sys.exit(golden_main(GOLDEN, outcomes, sys.argv[1:]))

@@ -1,7 +1,8 @@
-"""Numerical core: evaluation reuse in the multiplier searches and the
-line-search halvings the multiplier Newton pass skips."""
+"""Numerical core: the risk-sharing multiplier against its closed forms,
+evaluation reuse in the multiplier searches and the line-search halvings the
+multiplier Newton pass skips."""
 
-from math import ldexp
+from math import exp, ldexp
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import beliefcontracts as bc
 from beliefcontracts import kernel
-from support import two_action_instance
+from support import (draw_costs_and_reservation, make_family, rand_simplex,
+                     two_action_instance)
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,6 +68,107 @@ def test_ir_only_returns_at_a_starting_multiplier_that_zeroes_the_residual(monke
     assert len(calls) == 1
     assert sol.wages[0] == sol.wages[1]
     assert sol.ir_residual == 0.0
+
+
+def closed_form_lam(model, delta, q, level):
+    """The participation multiplier of risk sharing in closed form."""
+    ratio = delta / q
+    if isinstance(model, bc.LogUtility):
+        return exp(level + q @ np.log(ratio))
+    if isinstance(model, bc.CaraUtility):
+        return -delta.sum() / (model.r * level)
+    if isinstance(model, bc.CrraUtility):
+        g = model.gamma
+        return (level * (1.0 - g) / (q @ ratio ** ((g - 1.0) / g))) ** (g / (1.0 - g))
+    assert isinstance(model, bc.SqrtUtility)
+    return 2.0 * level / (q * q / delta).sum()
+
+
+def closed_form_draws():
+    """(scale, delta, q, model, level, lam) on S = 2..10 for every closed-form
+    family: risk sharing with cost weights scale * delta, where lam is the
+    closed-form multiplier.  With scale 1 these are first-best problems, and
+    the multiplier lies below the constant-wage start, so the bracket search
+    halves it (cara's start is exact, up to rounding); a scale up to 8 puts it
+    above the start on most draws, so the search doubles.  Two log draws at
+    levels -40 and -60 put lam near 1e-18 and 1e-26, where a bracket width of
+    1e-12 absolute, not relative, stopped at once with a relative error of
+    8e-5."""
+    rng = np.random.default_rng(20261018)
+    draws = []
+    for name in ("cara", "log", "crra_low", "crra_high", "sqrt"):
+        for S in range(2, 11):
+            for scale in (1.0, 1.0, float(rng.uniform(1.0, 8.0))):
+                delta, q = rand_simplex(rng, S), rand_simplex(rng, S)
+                (cost,), ubar = draw_costs_and_reservation(rng, name, 1)
+                model = make_family(name)
+                level = ubar + cost
+                lam = closed_form_lam(model, scale * delta, q, level)
+                draws.append((scale, delta, q, model, level, lam))
+    delta, q = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+    for level in (-40.0, -60.0):
+        model = bc.LogUtility()
+        draws.append((1.0, delta, q, model, level, closed_form_lam(model, delta, q, level)))
+    return draws
+
+
+def solve_draw(scale, delta, q, model, level):
+    """(lam, wages) from solve_first_best, or from the kernel when the cost
+    weights are not a probability vector."""
+    if scale != 1.0:
+        _, wages, lam = kernel.solve_ir_only(scale * delta, q, model, level)
+        return lam, wages
+    inst = bc.ProblemInstance(
+        tuple(float(i + 1) for i in range(len(q))),
+        (bc.ActionSpec("a", 0.0, bc.Distribution(tuple(delta)), bc.Distribution(tuple(q))),),
+        level, model)
+    sol = bc.solve_first_best(inst, "a")
+    return sol.lam, sol.wages
+
+
+def test_risk_sharing_multiplier_and_wages_match_the_closed_forms():
+    draws = closed_form_draws()
+    doubles = [lam > model.inverse_derivative(level)
+               for _, _, _, model, level, lam in draws]
+    assert 20 <= sum(doubles) <= len(draws) - 20
+    for scale, delta, q, model, level, lam in draws:
+        got_lam, got_wages = solve_draw(scale, delta, q, model, level)
+        wages = model.inverse_marginal(scale * delta / q / lam)
+        assert got_lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+        assert np.asarray(got_wages) == pytest.approx(wages, rel=1e-12, abs=0.0)
+
+
+def test_tabulated_first_best_keeps_the_bisection_answer():
+    """The bracket-and-bisection search this Newton iteration replaced
+    returned these on a tabulated log utility."""
+    w = np.linspace(0.5, 6.0, 40)
+    inst = bc.ProblemInstance(
+        (1.0, 2.0, 3.0),
+        (bc.ActionSpec("a", 0.1, bc.Distribution((0.3, 0.45, 0.25)),
+                       bc.Distribution((0.2, 0.35, 0.45))),),
+        0.8, bc.TabulatedUtility(w, np.log(w)))
+    sol = bc.solve_first_best(inst, "a")
+    assert sol.lam == pytest.approx(2.2353701140317006, rel=1e-9, abs=0.0)
+    assert sol.wages == pytest.approx((1.4912122854916152, 1.7384761266380258,
+                                       4.024048134891931), rel=1e-9, abs=0.0)
+
+
+def test_ir_only_needs_few_residual_evaluations(monkeypatch):
+    """Bracket search plus safeguarded Newton: at most 8 residual evaluations
+    (one inverse_marginal call each) per solve on average; bisecting the
+    bracket to 1e-12 took about 40."""
+    draws = closed_form_draws()
+    calls = []
+    original = bc.UtilityModel.inverse_marginal
+
+    def inverse_marginal(self, m):
+        calls.append(1)
+        return original(self, m)
+
+    monkeypatch.setattr(bc.UtilityModel, "inverse_marginal", inverse_marginal)
+    for scale, delta, q, model, level, _ in draws:
+        solve_draw(scale, delta, q, model, level)
+    assert len(calls) <= 8 * len(draws)
 
 
 def plain_scan(M, theta, step):

@@ -210,20 +210,25 @@ class TestReferenceLoop:
             assert oracle_outcome(brute_force_min_reference, inst, "a1", far, mode) == \
                 oracle_outcome(bc.brute_force_min, inst, "a1", far, mode) == "NoFeasiblePoint"
 
-    def test_nan_cost_skips_its_head(self):
+    def test_nan_cost_drops_only_its_point(self):
         # a zero principal probability times an overflowed wage makes some
-        # feasible costs NaN; the loop passed over every head holding one
+        # feasible costs NaN; those points are no contracts and are dropped,
+        # while the per-head loop passed over every head holding one and
+        # returned v = (-390, -720, 480) at a cost of 2.1e-170
         inst = bc.ProblemInstance(
             (1.0, 2.0, 3.0),
             (bc.ActionSpec("H", 0.5, D(0.5, 0.5, 0.0), D(0.2, 0.3, 0.5)),
              bc.ActionSpec("L", 0.0, D(0.4, 0.3, 0.3), D(0.4, 0.3, 0.3))),
             0.5, bc.LogUtility())
         grid = bc.GridSpec(-720.0, 720.0, 49)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for mode in bc.SolverKind:
-                expected = oracle_outcome(brute_force_min_reference, inst, "H", grid, mode)
-                assert expected.startswith("(")
-                assert oracle_outcome(bc.brute_force_min, inst, "H", grid, mode) == expected
+        for mode in bc.SolverKind:
+            res = bc.brute_force_min(inst, "H", grid, mode)
+            assert res.v == (-720.0, -720.0, 630.0)
+            assert res.cost == pytest.approx(math.exp(-720.0), rel=1e-6)
+            with np.errstate(over="ignore", invalid="ignore"):
+                skipped = brute_force_min_reference(inst, "H", grid, mode)
+            assert skipped.v == (-390.0, -720.0, 480.0)
+            assert skipped.cost > 1e-171
 
 
 class TestBandWindow:
