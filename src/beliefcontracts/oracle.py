@@ -22,11 +22,23 @@ The window is widened by 8u (|level| + |a| + tol + max|t|) + 4 * 2^-1074,
 which exceeds both together; the subnormal term covers underflow in that
 product, the only operation here that can lose an absolute amount.  So every
 point outside the window fails the band in floating point too, and inside it
-the plain tests decide.  Ties in cost go to the first point in C order, as a
-plain scan with a strict comparison would choose.  The returned point and
-its cost are the ones the full enumeration returns, bit for bit.  A point
-whose cost is NaN (a zero principal probability times a wage that overflowed
-to inf) is dropped, as an infinite wage is no contract.
+the plain tests decide.
+
+The search then visits the heads cheapest first and stops early.  A point's
+cost is fl(c + t), with c the head's cost and t its tail cost, so each head
+has the lower bound b = fl(c + min t), the least t over its window.
+Rounding is monotone: min t <= t gives fl(c + min t) <= fl(c + t) for every
+t in the window (a NaN t gives a NaN cost, which is dropped).  The heads
+whose bound is below +inf are visited in ascending order of bound, a block
+of whole heads at a time, and the search stops at the first head whose
+bound exceeds the best cost found; neither that head nor any after it holds
+a point that beats or ties that cost.  A head whose bound is +inf or NaN
+holds no point cheaper than +inf.  Ties in cost go to the point first in C
+order, across blocks too, as a plain scan with a strict comparison would
+choose.  The returned point and its cost are the ones the full enumeration
+returns, bit for bit.  A point whose cost is NaN (a zero principal
+probability times a wage that overflowed to inf) is dropped, as an infinite
+wage is no contract.
 """
 
 from __future__ import annotations
@@ -144,40 +156,52 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
         for other in inst.other_actions(target):
             ics.append((q - other.agent_beliefs.as_array(), act.cost - other.cost))
 
-    # one dot product per head, as a plain loop over heads takes it: a matrix
-    # product rounds the head sums differently
-    heads = np.array(list(np.ndindex((n,) * (S - 2))), dtype=np.intp)
+    # one dot product per head: vecdot calls the 1-D dot a plain loop over
+    # heads would, where a matrix product rounds the head sums differently
+    heads = np.indices((n,) * (S - 2)).reshape(S - 2, n ** (S - 2)).T
 
     def per_head(weights, x):
-        w = weights[:S - 2]
-        return np.fromiter((w.dot(row) for row in x[heads]), float, len(heads))
+        return np.vecdot(x[heads], weights[:S - 2])
 
     # the tail arrays in the order of the sorted tail sums
     tail = np.add.outer(q[S - 2] * vals, q[S - 1] * vals).ravel()     # IR part
     order = np.argsort(tail, kind="stable")
     tail = tail[order]
-    with np.errstate(invalid="ignore"):   # 0 * inf is NaN, passed over below
-        tail_cost = np.add.outer(delta[S - 2] * h_vals, delta[S - 1] * h_vals).ravel()[order]
     tail_ic = [np.add.outer(row[S - 2] * vals, row[S - 1] * vals).ravel()[order]
                for row, _ in ics]
     ir_head = per_head(q, vals)
     ic_head = [per_head(row, vals) for row, _ in ics]
-    cost_head = per_head(delta, h_vals)
-
-    # candidate r of the run of windows lies at sorted position r + shift[its head]
+    with np.errstate(invalid="ignore"):   # 0 * inf is NaN, passed over below
+        tail_cost = np.add.outer(delta[S - 2] * h_vals, delta[S - 1] * h_vals).ravel()[order]
+        cost_head = per_head(delta, h_vals)
     first, stop = _band_window(tail, ir_head, level, ctol)
-    counts = stop - first
+
+    # each head's bound: its cost plus the least tail cost in its window, the
+    # even entries of one reduceat over the pairs (first, stop); the appended
+    # NaN lets a window end at the last tail, and fmin passes over it
+    seg = np.fmin.reduceat(np.append(tail_cost, np.nan), np.stack([first, stop], 1).ravel())
+    bound = cost_head + seg[::2]
+    visit = np.flatnonzero((stop > first) & (bound < np.inf))
+    visit = visit[np.argsort(bound[visit], kind="stable")]
+    bound = bound[visit]
+
+    # candidate r of the run of windows in visiting order lies at sorted
+    # position r + shift[its head]
+    counts = (stop - first)[visit]
     ends = np.cumsum(counts)
-    shift = first - (ends - counts)
+    shift = first[visit] - (ends - counts)
 
     best_cost = np.inf
     best = None
     h0 = 0
-    while h0 < len(heads):
+    # a head whose bound exceeds the best cost can neither beat nor tie it
+    while h0 < len(visit) and bound[h0] <= best_cost:
         lo = int(ends[h0] - counts[h0])
-        h1 = max(int(np.searchsorted(ends, lo + _BLOCK, "right")), h0 + 1)
-        hid = np.repeat(np.arange(h0, h1), counts[h0:h1])
-        pos = np.arange(lo, lo + hid.size) + shift[hid]
+        h1 = min(max(int(np.searchsorted(ends, lo + _BLOCK, "right")), h0 + 1),
+                 int(np.searchsorted(bound, best_cost, "right")))
+        slot = np.repeat(np.arange(h0, h1), counts[h0:h1])
+        hid = visit[slot]
+        pos = np.arange(lo, lo + slot.size) + shift[slot]
         h0 = h1
         keep = np.abs(ir_head[hid] + tail[pos] - level) <= ctol
         for k, (_, rhs) in enumerate(ics):
@@ -187,11 +211,12 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
         # fmin passes over a NaN cost, 0 times an overflowed wage: an
         # infinite wage is no contract, and NaN never equals the minimum
         low = np.fmin.reduce(costs, initial=np.inf)
-        if low < best_cost:
+        if low < best_cost or low == best_cost < np.inf:
             tied = np.flatnonzero(costs == low)
             flat = hid[tied] * n * n + order[pos[tied]]
             i = int(np.argmin(flat))
-            best_cost, best = float(costs[tied[i]]), int(flat[i])
+            if low < best_cost or flat[i] < best:
+                best_cost, best = float(costs[tied[i]]), int(flat[i])
 
     if best is None:
         raise NoFeasiblePoint("no grid point satisfies the constraints at this tolerance")
@@ -203,13 +228,23 @@ def brute_force_min(inst: ProblemInstance, target: str, grid: GridSpec,
 def cell_cost_variation(inst: ProblemInstance, target: str, grid: GridSpec) -> float:
     """Cost scale of one grid cell: the largest single-step change of the
     wage function along the grid, plus the slack the participation band
-    admits (band width times the steepest local shadow price)."""
+    admits (band width times the steepest local shadow price).
+
+    Raises ValidationError when a wage on the grid overflows, as the scale
+    is then infinite."""
     act, vals = _validate(inst, target, grid)
     model = inst.utility
-    h_vals = np.asarray(model.inverse(vals), dtype=float)
-    max_step = float(np.max(np.abs(np.diff(h_vals))))
+    # an overflowed wage is inf, and two of them differ by NaN: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_vals = np.asarray(model.inverse(vals), dtype=float)
+        max_step = float(np.max(np.abs(np.diff(h_vals))))
     max_slope = max_step / grid.step
-    return max_step + grid.tol * max_slope
+    cell = max_step + grid.tol * max_slope
+    if not math.isfinite(cell):
+        raise ValidationError(
+            f"grid [{grid.v_lo}, {grid.v_hi}] has a wage that overflows, so no "
+            f"cell cost bounds an audit; narrow the grid")
+    return cell
 
 
 @dataclass(frozen=True)
@@ -227,6 +262,8 @@ def oracle_audit(inst: ProblemInstance, target: str, grid: GridSpec,
     """Run solver and oracle side by side and compare costs.
 
     Raises:
+        ValidationError: a wage on the grid overflows, so the cell cost is
+            infinite and would pass any gap.
         GridTooCoarse: the solver found a contract but the grid band is empty.
     """
     from .first_best import solve_first_best
@@ -238,13 +275,13 @@ def oracle_audit(inst: ProblemInstance, target: str, grid: GridSpec,
         solver_cost = solve_second_best(inst, target, tol=tol).expected_cost_principal
     else:
         raise ValidationError(f"unknown oracle mode {mode!r}")
+    cell = cell_cost_variation(inst, target, grid)
     try:
         oracle = brute_force_min(inst, target, grid, mode)
     except NoFeasiblePoint as exc:
         raise GridTooCoarse(
             "solver found a contract but the oracle grid has no feasible point; "
             "refine the grid or widen constraint_tol") from exc
-    cell = cell_cost_variation(inst, target, grid)
     delta = solver_cost - oracle.cost
     return AuditReport(
         solver_cost=float(solver_cost),

@@ -216,6 +216,17 @@ class TestCli:
         assert proc.stderr.startswith("error[ValidationError]: grid bounds must be finite")
         assert "Warning" not in proc.stderr
 
+    def test_overflowing_oracle_grid_is_refused_without_a_warning(self):
+        # exp overflows above v = 709: the cell cost would be inf, and every
+        # audit would pass whatever its gap
+        proc = cli_process("oracle-audit", "--problem", str(DATA / "log_binding.json"),
+                           "--v-lo", "-720", "--v-hi", "720", "--points", "49")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            "error[ValidationError]: grid [-720.0, 720.0] has a wage that overflows")
+        assert "Warning" not in proc.stderr
+
     def test_figure_data_csv(self):
         code, out = self.run("figure-data", "--problem", str(DATA / "log_binding.json"),
                              "--grid", "11")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import beliefcontracts as bc
-from beliefcontracts.oracle import _band_window
+from beliefcontracts.oracle import _BLOCK, _band_window
 from support import (FAMILY_NAMES, brute_force_min_reference, draw_costs_and_reservation,
                      grid_around, make_family, rand_outputs, rand_simplex, ratio_ladder,
                      single_action_instance, two_action_instance)
@@ -231,6 +231,90 @@ class TestReferenceLoop:
             assert skipped.cost > 1e-171
 
 
+def head_bounds(inst, target, grid):
+    """Per head of a 3-state instance: its cost plus the least tail cost in its
+    band window, the bound ``brute_force_min`` visits heads by, and the
+    window's size."""
+    act = inst.action(target)
+    q, d = act.agent_beliefs.as_array(), act.principal_beliefs.as_array()
+    vals = grid.values()
+    wages = inst.utility.inverse(vals)
+    tail = np.add.outer(q[1] * vals, q[2] * vals).ravel()
+    order = np.argsort(tail, kind="stable")
+    tail_cost = np.add.outer(d[1] * wages, d[2] * wages).ravel()[order]
+    first, stop = _band_window(tail[order], q[0] * vals,
+                               inst.reservation_utility + act.cost, grid.tol)
+    bound = [d[0] * wages[h] + tail_cost[first[h]:stop[h]].min() for h in range(len(vals))]
+    return np.array(bound), stop - first
+
+
+#: the paper's regime: an unbounded-below utility range and the ordering chain
+PAPER_FAMILIES = ("cara", "log", "crra_high")
+
+
+class TestReferenceAtBenchmarkSize:
+    """The benchmark's oracle grids (150 points at S = 3, 50 at S = 4), where
+    most heads are never visited, still give the plain scan's answer."""
+
+    @pytest.mark.parametrize("S, points", [(3, 150), (4, 50)])
+    @pytest.mark.parametrize("family", PAPER_FAMILIES)
+    def test_paper_regime_draws(self, S, points, family):
+        rng = np.random.default_rng([S, points, PAPER_FAMILIES.index(family)])
+        for _ in range(3):
+            inst = two_action_instance(rng, S, name=family)
+            sol = bc.solve_second_best(inst, "H")
+            grid = grid_around(inst, sol.utility_levels, points, pad=0.35)
+            for mode in bc.SolverKind:
+                expected = oracle_outcome(brute_force_min_reference, inst, "H", grid, mode)
+                assert expected.startswith("(")
+                assert oracle_outcome(bc.brute_force_min, inst, "H", grid, mode) == expected
+
+    def test_tie_found_in_a_head_visited_later(self):
+        # the state-0 principal probability is 0, so every head costs 0 and
+        # points sharing a tail tie exactly.  The head after the answer's has
+        # the lower bound, so it is visited first, in a block of its own, and
+        # holds a tying point, which must lose to the answer's smaller C-order
+        # index.  The answer's head has a bound equal to the best cost, so a
+        # search that stopped at such a bound would miss it.
+        inst = bc.ProblemInstance(
+            (1.0, 2.0, 3.0),
+            (bc.ActionSpec("H", 0.5, D(0.0, 0.5, 0.5), D(0.25, 0.6, 0.15)),
+             bc.ActionSpec("L", 0.0, D(0.0, 0.5, 0.5), D(0.5, 0.3, 0.2))),
+            0.0, bc.LogUtility())
+        grid = bc.GridSpec(-2.0, 2.0, 81, 0.97)
+        expected = brute_force_min_reference(inst, "H", grid)
+        vals = grid.values()
+        h = int(np.flatnonzero(vals == expected.v[0])[0])
+        bound, size = head_bounds(inst, "H", grid)
+        assert bound[h + 1] < bound[h] == expected.cost and min(size[h], size[h + 1]) > _BLOCK
+        # the same tail under head h + 1 passes both tests, at the same cost
+        # (the participation level and the incentive right-hand side are 0.5)
+        v = (vals[h + 1],) + expected.v[1:]
+        q = inst.action("H").agent_beliefs.as_array()
+        dq = q - inst.action("L").agent_beliefs.as_array()
+        assert abs(q[0] * v[0] + (q[1] * v[1] + q[2] * v[2]) - 0.5) <= grid.tol
+        assert dq[0] * v[0] + (dq[1] * v[1] + dq[2] * v[2]) - 0.5 >= -grid.tol
+        assert 0.0 * math.exp(v[0]) + (0.5 * math.exp(v[1]) + 0.5 * math.exp(v[2])) == expected.cost
+        assert oracle_outcome(bc.brute_force_min, inst, "H", grid, bc.SolverKind.SECOND_BEST) == \
+            repr((expected.cost, expected.v, expected.wages))
+
+    def test_heads_whose_cost_is_infinite_or_nan(self):
+        # wages overflow above v = 709: a head with v_1 = 720 costs inf, and a
+        # head with v_0 = 720 costs 0 * inf = NaN; the NaN heads would hold
+        # the cheapest points, as the principal does not pay in state 0
+        inst = bc.ProblemInstance(
+            (1.0, 2.0, 3.0, 4.0),
+            (bc.ActionSpec("H", 0.5, D(0.0, 0.25, 0.25, 0.5), D(0.1, 0.2, 0.3, 0.4)),
+             bc.ActionSpec("L", 0.0, D(0.25, 0.25, 0.25, 0.25), D(0.4, 0.3, 0.2, 0.1))),
+            0.0, bc.LogUtility())
+        grid = bc.GridSpec(-720.0, 720.0, 25)
+        for mode in bc.SolverKind:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = oracle_outcome(brute_force_min_reference, inst, "H", grid, mode)
+            res = bc.brute_force_min(inst, "H", grid, mode)
+            assert repr((res.cost, res.v, res.wages)) == expected and res.v[0] < 720.0
+
+
 class TestBandWindow:
     """Every tail sum left out of a head's window fails the exact band test."""
 
@@ -262,6 +346,23 @@ class TestAudit:
         inst = log_two_state()
         report = bc.oracle_audit(inst, "H", bc.GridSpec(-1.6, 2.6, 200))
         assert report.within_tolerance
+
+    def test_overflowing_grid_is_refused(self):
+        # exp overflows above v = 709, so the cell cost is inf and every gap
+        # would pass; the grid is refused instead, with no numpy warning
+        inst = bc.ProblemInstance(
+            (1.0, 2.0, 3.0),
+            (bc.ActionSpec("H", 0.5, D(0.3, 0.3, 0.4), D(0.2, 0.3, 0.5)),
+             bc.ActionSpec("L", 0.0, D(0.4, 0.3, 0.3), D(0.4, 0.3, 0.3))),
+            0.5, bc.LogUtility())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for hi in (720.0, 760.0):     # one overflowed wage, then several
+                grid = bc.GridSpec(-720.0, hi, 49)
+                with pytest.raises(bc.ValidationError, match=r"grid \[-720.0, .*overflows"):
+                    bc.cell_cost_variation(inst, "H", grid)
+                with pytest.raises(bc.ValidationError, match="overflows"):
+                    bc.oracle_audit(inst, "H", grid)
 
     def test_audit_flags_coarse_grid(self):
         inst = log_two_state()
