@@ -14,9 +14,12 @@ Two entry points:
 ``minimize_on_affine``
     min sum_s weight_s h(v_s)  subject to  M v = r  for a full-row-rank M.
     A short damped Newton pass on the multiplier system produces a strictly
-    interior start; the minimum is then located by equality-constrained
-    Newton after eliminating m coordinates through the constraints, so every
-    iterate satisfies M v = r exactly.
+    interior start; the minimum is then located by Newton's method in the
+    null space of M (Nocedal & Wright, *Numerical Optimization*, section
+    16.2).  One complete QR factorization M^T = [Y N] [R1; 0] gives an
+    orthonormal basis N of that null space and the particular point
+    v^ = Y R1^-T r, so every iterate v^ + N z satisfies M v = r up to
+    rounding.
 
 Neither takes a tolerance: the cut-offs are fixed.  The risk-sharing
 multiplier search stops when the Newton correction is at most 4 u lam
@@ -76,8 +79,6 @@ class AffineSolution:
     v: tuple[float, ...]
     wages: tuple[float, ...]
     multipliers: tuple[float, ...]
-    cost: float
-    stationarity: tuple[float, ...]   # weight_s h'(v_s) - (M^T theta)_s, per state
     iterations: int
 
 
@@ -187,24 +188,6 @@ def _independent_rows(M: np.ndarray, r: np.ndarray):
     return M[keep], r[keep]
 
 
-def _pivot_columns(M: np.ndarray) -> list[int]:
-    """Greedy well-conditioned column choice for eliminating m coordinates."""
-    m, S = M.shape
-    E = M.astype(float).copy()
-    cols: list[int] = []
-    for _ in range(m):
-        norms = np.linalg.norm(E, axis=0)
-        for j in cols:
-            norms[j] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] <= 1e-13:
-            raise Infeasible("constraint rows are not linearly independent")
-        cols.append(j)
-        u = E[:, j] / np.linalg.norm(E[:, j])
-        E = E - np.outer(u, u @ E)
-    return cols
-
-
 def _positive_coefficients(M: np.ndarray, theta: np.ndarray):
     """M^T theta when every entry is positive, else None.
 
@@ -235,7 +218,7 @@ def _resume_halving(M: np.ndarray, theta: np.ndarray, step: np.ndarray) -> int:
 
 
 def _dual_start(weights, M, r, model, lam0):
-    """Damped Newton on the multiplier system; yields a strictly interior v.
+    """Damped Newton on the multiplier system; returns a strictly interior v.
 
     v(theta) solves weight_s h'(v_s) = (M^T theta)_s, which keeps every
     component inside the utility range by construction as long as the
@@ -287,7 +270,7 @@ def _dual_start(weights, M, r, model, lam0):
                              "or touches the utility-range boundary")
     if best_v is None:
         raise Infeasible("could not locate an interior point of the constraint set")
-    return best_v, theta
+    return best_v
 
 
 def minimize_on_affine(weights, M, r, model: UtilityModel):
@@ -321,37 +304,21 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
             f"participation level {r[0] / scale} outside utility range {model.utility_range}")
 
     lam0 = float(model.inverse_derivative(r[0] / scale)) / scale
-    v0, _ = _dual_start(weights, M, r, model, lam0)
+    v0 = _dual_start(weights, M, r, model, lam0)
 
-    cols = _pivot_columns(M)
-    free = [j for j in range(S) if j not in cols]
-    B = M[:, cols]
-    Binv = np.linalg.inv(B)
-    k = len(free)
-
-    # v(z): free coordinates z, pivot coordinates forced by the constraints
-    N = np.zeros((S, k))
-    vhat = np.zeros(S)
-    vhat[cols] = Binv @ r
-    if k:
-        F = M[:, free]
-        N[free, :] = np.eye(k)
-        N[cols, :] = -Binv @ F
-
-    def assemble(z: np.ndarray) -> np.ndarray:
-        v = vhat.copy()
-        if k:
-            v += N @ z
-        return v
+    # null-space method: M^T = [Y N] [R1; 0] and {v : M v = r} = {vhat + N z}
+    Q, R = np.linalg.qr(M.T, mode="complete")
+    N = Q[:, m:]
+    vhat = Q[:, :m] @ np.linalg.solve(R[:m].T, r)
 
     def in_range(v: np.ndarray) -> bool:
         return bool(np.all(v > lo) and np.all(v < hi))
 
-    z = v0[free].copy() if k else np.zeros(0)
-    v = assemble(z)
+    z = N.T @ (v0 - vhat)
+    v = vhat + N @ z
     if not in_range(v):
-        # the interior dual point, pushed exactly onto the constraint set,
-        # should remain interior; if not the optimum hugs the boundary
+        # the interior dual point, projected onto the constraint set, should
+        # remain interior; if not the optimum hugs the boundary
         raise KKTDegeneracy("constraint set only meets the utility range at its boundary")
 
     def relative_stationarity(vv):
@@ -379,47 +346,45 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
         resid = target - M.T @ theta_fit
         return theta_fit, resid, float(np.max(np.abs(resid) / target))
 
-    iterations = 0
     theta, resid, rel = relative_stationarity(v)
-    if k:
-        for iterations in range(1, _MAX_NEWTON + 1):
-            if rel <= 1e-13:
-                break
-            hpp = np.asarray(model.inverse_second_derivative(v), dtype=float)
-            H = N.T @ ((weights * hpp)[:, None] * N)
-            grad = N.T @ resid            # equals N^T (weights h') up to roundoff
-            try:
-                dz = np.linalg.solve(H, -grad)
-            except np.linalg.LinAlgError:
-                raise KKTDegeneracy("singular reduced Hessian")
-            # largest step keeping v strictly inside the utility range
-            dv = N @ dz
-            alpha = 1.0
-            pos = dv > 0
-            neg = dv < 0
-            if np.isfinite(hi) and np.any(pos):
-                alpha = min(alpha, 0.95 * float(np.min((hi - v[pos]) / dv[pos])))
-            if np.isfinite(lo) and np.any(neg):
-                alpha = min(alpha, 0.95 * float(np.min((lo - v[neg]) / dv[neg])))
-            if alpha <= 0.0:
-                break
-            improved = False
-            for _ in range(60):
-                v_new = assemble(z + alpha * dz)
-                if in_range(v_new):
-                    theta_new, resid_new, rel_new = relative_stationarity(v_new)
-                    if rel_new < rel:
-                        z = z + alpha * dz
-                        v, theta, resid, rel = v_new, theta_new, resid_new, rel_new
-                        improved = True
-                        break
-                alpha *= 0.5
-                if alpha < 1e-12:
+    for iterations in range(1, _MAX_NEWTON + 1):
+        if rel <= 1e-13:
+            break
+        hpp = np.asarray(model.inverse_second_derivative(v), dtype=float)
+        H = N.T @ ((weights * hpp)[:, None] * N)
+        grad = N.T @ resid            # equals N^T (weights h') up to roundoff
+        try:
+            dz = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            raise KKTDegeneracy("singular reduced Hessian")
+        # largest step keeping v strictly inside the utility range
+        dv = N @ dz
+        alpha = 1.0
+        pos = dv > 0
+        neg = dv < 0
+        if np.isfinite(hi) and np.any(pos):
+            alpha = min(alpha, 0.95 * float(np.min((hi - v[pos]) / dv[pos])))
+        if np.isfinite(lo) and np.any(neg):
+            alpha = min(alpha, 0.95 * float(np.min((lo - v[neg]) / dv[neg])))
+        if alpha <= 0.0:
+            break
+        improved = False
+        for _ in range(60):
+            v_new = vhat + N @ (z + alpha * dz)
+            if in_range(v_new):
+                theta_new, resid_new, rel_new = relative_stationarity(v_new)
+                if rel_new < rel:
+                    z = z + alpha * dz
+                    v, theta, resid, rel = v_new, theta_new, resid_new, rel_new
+                    improved = True
                     break
-            if not improved:
+            alpha *= 0.5
+            if alpha < 1e-12:
                 break
-            if np.max(np.abs(v)) > 1e14:
-                raise Unbounded("iterates diverge along the feasible subspace")
+        if not improved:
+            break
+        if np.max(np.abs(v)) > 1e14:
+            raise Unbounded("iterates diverge along the feasible subspace")
 
     if rel > 1e-9:
         # stationarity failed: either the optimum sits on the utility-range
@@ -432,14 +397,10 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
                 "optimum at the utility-range boundary: interior first-order "
                 "conditions fail (no interior solution exists)")
 
-    stationarity = resid
     wages = np.asarray(model.inverse(v), dtype=float)
-    cost = float(weights @ wages)
     return AffineSolution(
         v=tuple(float(x) for x in v),
         wages=tuple(float(x) for x in wages),
         multipliers=tuple(float(x) for x in theta),
-        cost=cost,
-        stationarity=tuple(float(x) for x in stationarity),
         iterations=iterations,
     )

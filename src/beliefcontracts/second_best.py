@@ -10,8 +10,11 @@ space v_s = u(w_s), is
 Participation always binds.  The solver first tries the pure risk-sharing
 contract; if some incentive constraint fails, it runs an active-set loop over
 binding constraint subsets, each subproblem solved by equality-constrained
-Newton (see kernel).  The principal's beliefs about non-target actions never
-enter the contract, only the action choice.
+Newton (see kernel).  The multipliers lam and mu are the ones the final
+working set's solve returns: the risk-sharing multiplier, or the kernel's
+fit of the stationarity conditions on the active rows.  The principal's
+beliefs about non-target actions never enter the contract, only the action
+choice.
 
 ``solve_active_set`` is that loop; the spread decomposition's inner programs
 (see iterative) run on it too.
@@ -170,32 +173,8 @@ def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
     active_sorted = sorted(active)
     active_ics = [i for i in active_sorted if ineqs[i][2] == "ic"]
     pins = [i for i in active_sorted if ineqs[i][2] != "ic"]
-    hp = np.asarray(model.inverse_derivative(v), dtype=float)
-    foc_scale = delta * hp
-    rows_active = [q] + [ineqs[i][0] for i in active_sorted]
-
-    def worst_rel(cand):
-        coef = np.zeros(S)
-        for t, row in zip(cand, rows_active):
-            coef = coef + t * row
-        return float(np.max(np.abs(foc_scale - coef) / foc_scale))
-
-    # multiplier recovery: the two-action recipe sums the stationarity
-    # conditions for lam and reads mu off the best-conditioned state; it is
-    # cross-checked at every state against the solver's own fit and the
-    # better-conditioned of the two is kept.
-    candidates = [np.asarray(theta, dtype=float)]
-    if not pins and len(active_ics) == 1:
-        drow = ineqs[active_ics[0]][0]
-        lam_r = float(delta @ hp)
-        s_star = int(np.argmax(np.abs(drow)))
-        mu_r = float((foc_scale[s_star] - lam_r * q[s_star]) / drow[s_star])
-        candidates.append(np.array([lam_r, mu_r]))
-    elif not pins and not active_ics:
-        candidates.append(np.array([float(delta @ hp)]))
-    best = min(candidates, key=worst_rel)
-    lam = float(best[0])
-    mult = dict(zip(active_sorted, best[1:]))
+    lam = float(theta[0])
+    mult = dict(zip(active_sorted, theta[1:]))
 
     if lam <= 0.0:
         raise KKTDegeneracy(f"participation multiplier came out non-positive ({lam})")

@@ -1,0 +1,153 @@
+"""Verdict transitions between two source trees on benchmark ops.
+
+    python tests/outcome_diff.py OLD_SRC NEW_SRC --solve-mix 8101 8202 --ops 3000
+    python tests/outcome_diff.py OLD_SRC NEW_SRC --driver-mix 6262 --ops 3276 \\
+        --kinds choose_action_3
+
+OLD_SRC and NEW_SRC are ``src`` directories (say, of a ``git archive`` of
+the parent commit and of the working tree).  Each side runs in its own
+subprocess with its tree first on ``sys.path``; both build their inputs with
+``bench/workloads.py``, run the ops as ``bench/run.py``'s workload classes do
+and take their verdicts from ``bench/checks.py``, all read from this
+checkout.  Ops are 0 .. OPS-1 of each seed: every solve_mix op, and the
+driver_mix ops whose kind is in ``--kinds``.  An Infeasible solve reads
+``infeasible_unverified``: the LP reference depends on the problem only, so
+it is the same on both sides and is not asked.
+
+Beside each op's verdict, a choose_action op records one direct
+``solve_second_best`` per action (``i/action``) with the ``check_solve``
+verdict of solve_mix, and every returned contract records its wages and
+``kkt_certificate``'s stationarity_max.  The report prints every verdict
+transition, with stationarity_max before and after when both sides
+returned a contract, the certified count of each side, and the largest
+relative wage move max_s |w'_s - w_s| / max_s |w_s| among the solves both
+sides certify.  Not collected by pytest (no ``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+DRIVER_KINDS = ("choose_action_2", "choose_action_3", "oracle_audit_3", "oracle_audit_4")
+
+
+def _solve_record(checks, bc, inst, target, outcome) -> dict:
+    """Verdict of one second-best solve, with its wages and stationarity."""
+    rec = {"verdict": checks.check_solve(inst, target, outcome, lp_feasible=None)}
+    if isinstance(outcome, bc.SecondBestSolution):
+        rec["wages"] = list(outcome.wages)
+        rec["stationarity_max"] = bc.kkt_certificate(inst, target, outcome).stationarity_max
+    return rec
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:     # judged by the checks like any other outcome
+        return exc
+
+
+def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
+    """{op id: record} for one seed, computed with whatever package is on sys.path."""
+    import beliefcontracts as bc
+    import checks
+    import run
+    import workloads as W
+
+    out = {}
+    if workload == "solve_mix":
+        wl = run.SolveMix(seed)
+        for i in range(ops):
+            case = wl.case(i)
+            out[str(i)] = _solve_record(checks, bc, case["inst"], case["target"],
+                                        _attempt(wl.op, case))
+        return out
+    wl = run.DriverMix(seed)
+    for i in range(ops):
+        if W.DRIVER_KINDS[i % len(W.DRIVER_KINDS)] not in kinds:
+            continue
+        case = wl.case(i)
+        outcome = _attempt(wl.op, case)
+        try:
+            out[str(i)] = {"verdict": wl.check(case, outcome)}
+        except Exception as exc:     # as bench/run.py labels a check that raised
+            out[str(i)] = {"verdict": "unchecked:" + type(exc).__name__}
+        if case["kind"].startswith("choose_action"):
+            inst = case["inst"]
+            for act in inst.actions:
+                sol = _attempt(bc.solve_second_best, inst, act.name)
+                out[f"{i}/{act.name}"] = _solve_record(checks, bc, inst, act.name, sol)
+    return out
+
+
+def run_side(src: Path, workload: str, seed: int, ops: int, kinds: list[str],
+             dest: Path) -> subprocess.Popen:
+    code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2], sys.argv[3]]; "
+            "import outcome_diff as od; "
+            "json.dump(od.worker(sys.argv[4], int(sys.argv[5]), int(sys.argv[6]), "
+            "sys.argv[7].split(',')), open(sys.argv[8], 'w'))")
+    argv = [sys.executable, "-c", code, str(src), str(BENCH), str(Path(__file__).parent),
+            workload, str(seed), str(ops), ",".join(kinds), str(dest)]
+    return subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+
+
+def compare(label: str, old: dict, new: dict) -> None:
+    """Print the transitions, certified counts and largest wage move of one seed."""
+    print(f"== {label}: {len(old)} records")
+    for key in old:
+        a, b = old[key], new[key]
+        if a["verdict"] != b["verdict"]:
+            stat = ""
+            if "stationarity_max" in a and "stationarity_max" in b:
+                stat = f"  stationarity_max {a['stationarity_max']:.3g} -> {b['stationarity_max']:.3g}"
+            print(f"  {key}: {a['verdict']} -> {b['verdict']}{stat}")
+    for side, recs in (("old", old), ("new", new)):
+        counts = Counter(r["verdict"] for r in recs.values())
+        print(f"  {side}: " + ", ".join(f"{v} {n}" for v, n in sorted(counts.items())))
+    worst, where = 0.0, None
+    for key in old:
+        if old[key]["verdict"] == new[key]["verdict"] == "certified":
+            w0, w1 = np.asarray(old[key]["wages"]), np.asarray(new[key]["wages"])
+            move = float(np.max(np.abs(w1 - w0)) / np.max(np.abs(w0)))
+            if move > worst:
+                worst, where = move, key
+    print(f"  largest relative wage move among solves both certify: {worst:.3g}"
+          + (f" (op {where})" if where else ""))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("old_src", type=Path)
+    p.add_argument("new_src", type=Path)
+    p.add_argument("--solve-mix", type=int, nargs="*", default=[], metavar="SEED")
+    p.add_argument("--driver-mix", type=int, nargs="*", default=[], metavar="SEED")
+    p.add_argument("--ops", type=int, default=3000)
+    p.add_argument("--kinds", default=",".join(DRIVER_KINDS),
+                   help="comma-separated driver_mix kinds (default: %(default)s)")
+    args = p.parse_args(argv)
+    kinds = args.kinds.split(",")
+    jobs = [("solve_mix", s) for s in args.solve_mix] + [("driver_mix", s) for s in args.driver_mix]
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, seed in jobs:
+            dests = [Path(tmp) / f"{workload}-{seed}-{side}.json" for side in ("old", "new")]
+            procs = [run_side(src, workload, seed, args.ops, kinds, dest)
+                     for src, dest in zip((args.old_src, args.new_src), dests)]
+            if any([proc.wait() != 0 for proc in procs]):
+                print(f"{workload} seed {seed}: a side exited non-zero", file=sys.stderr)
+                return 1
+            old, new = (json.loads(d.read_text()) for d in dests)
+            compare(f"{workload} seed {seed}, ops 0-{args.ops - 1}", old, new)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@
 evaluation reuse in the multiplier searches and the line-search halvings the
 multiplier Newton pass skips."""
 
+import itertools
 from math import exp, ldexp
 from pathlib import Path
 
@@ -313,3 +314,60 @@ def test_dual_start_skips_the_halvings_that_provably_fail(monkeypatch):
     assert len(resumes) > 20
     for M, theta, step in resumes:
         assert_skips_only_failing_halvings(M, theta, step)
+
+
+def planted_affine_draw(rng, name, m, S, spread=1.0):
+    """(weights, M, r, model): a participation row of beliefs over m - 1
+    incentive rows of belief differences (scaled by ``spread``), with an
+    interior optimum planted at v* = u(w*): r = M v* and weights chosen so
+    that weight_s h'(v*_s) = (M^T theta*)_s for a multiplier theta* whose
+    coefficients M^T theta* are positive."""
+    model = make_family(name)
+    beliefs = rng.dirichlet(np.full(S, 3.0), size=m)
+    M = np.vstack([beliefs[0], spread * (beliefs[0] - beliefs[1:])])
+    while True:
+        theta = np.concatenate([[rng.uniform(0.5, 3.0)], rng.normal(0.0, 0.3, m - 1)])
+        if (M.T @ theta > 0.0).all():
+            break
+    v_star = np.asarray(model.evaluate(rng.uniform(0.5, 3.0, S)), dtype=float)
+    weights = (M.T @ theta) / np.asarray(model.inverse_derivative(v_star), dtype=float)
+    return weights, M, M @ v_star, model
+
+
+def assert_affine_contract(weights, M, r, model):
+    """The returned point is feasible to rounding, strictly interior, and its
+    multipliers meet the first-order conditions state by state."""
+    sol = kernel.minimize_on_affine(weights, M, r, model)
+    v, theta = np.asarray(sol.v), np.asarray(sol.multipliers)
+    assert np.abs(M @ v - r).max() <= 1e-12 * max(1.0, np.abs(r).max())
+    lo, hi = model.utility_range
+    assert (v > lo).all() and (v < hi).all()
+    target = weights * np.asarray(model.inverse_derivative(v), dtype=float)
+    assert np.max(np.abs(target - M.T @ theta) / target) <= 1e-9
+    return sol
+
+
+@pytest.mark.parametrize("name", ["cara", "log", "crra_low", "crra_high", "sqrt"])
+def test_minimize_on_affine_contract_on_planted_draws(name):
+    """S = 2..10 and every m from 1 to min(5, S), so m = S on S <= 5."""
+    rng = np.random.default_rng(20261019)
+    square = 0
+    for S in range(2, 11):
+        for m in range(1, min(5, S) + 1):
+            weights, M, r, model = planted_affine_draw(rng, name, m, S)
+            sol = assert_affine_contract(weights, M, r, model)
+            square += m == S
+            assert len(sol.multipliers) == m
+    assert square == 4
+
+
+def test_minimize_on_affine_contract_on_nearly_dependent_rows():
+    """Incentive rows of belief differences shrunk to 1e-6: every m x m
+    column block of M, so any pivot block an elimination could pick, has a
+    condition number above 1e6, while the null-space basis stays orthonormal."""
+    rng = np.random.default_rng(31)
+    for name in ("cara", "log", "crra_high"):
+        weights, M, r, model = planted_affine_draw(rng, name, 3, 5, spread=1e-6)
+        blocks = [M[:, list(c)] for c in itertools.combinations(range(5), 3)]
+        assert min(np.linalg.cond(B) for B in blocks) > 1e6
+        assert_affine_contract(weights, M, r, model)

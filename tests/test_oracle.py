@@ -364,6 +364,23 @@ class TestAudit:
                 with pytest.raises(bc.ValidationError, match="overflows"):
                     bc.oracle_audit(inst, "H", grid)
 
+    @pytest.mark.parametrize("name, grid", [
+        # driver_mix draws: the incentive multiplier is large, and the oracle
+        # point sits at incentive slack -0.053 and -0.469 against tol 0.056
+        # and 0.550, so the relaxation saves far more than one cell
+        ("crra_oracle_ic_relaxation", bc.GridSpec(-4.340165687268751, -0.1603671762515266, 150)),
+        ("cara_oracle_ic_relaxation", bc.GridSpec(-13.990562695758024, -0.5115623696708836, 50)),
+    ])
+    def test_cell_prices_the_incentive_relaxation(self, name, grid):
+        inst = bc.load_problem(DATA / f"{name}.json")
+        sol = bc.solve_second_best(inst, "H")
+        assert bc.kkt_certificate(inst, "H", sol).passed
+        report = bc.oracle_audit(inst, "H", grid)
+        band_only = bc.cell_cost_variation(inst, "H", grid)
+        assert abs(report.delta) > band_only
+        assert report.cell_variation == band_only + grid.tol * sum(sol.mu)
+        assert report.within_tolerance
+
     def test_audit_flags_coarse_grid(self):
         inst = log_two_state()
         # a grid band nowhere near the binding constraints
