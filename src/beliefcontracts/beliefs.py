@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -228,18 +229,31 @@ class ProblemInstance:
                         f">= {SOLVER_MIN_PROB}")
 
 
+@lru_cache(maxsize=32)
+def _lower_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict lower triangle of an n x n matrix."""
+    rows, cols = np.tril_indices(n, k=-1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _lower_cross(f: Distribution, g: Distribution) -> np.ndarray:
+    """f_s * g_t - f_t * g_s for every s > t, in ``np.tril_indices`` order."""
+    if len(f) != len(g):
+        raise LengthMismatch("mlrp_compare: distributions have different lengths")
+    fa, ga = f.as_array(), g.as_array()
+    rows, cols = _lower_index(len(f))
+    return fa[rows] * ga[cols] - fa[cols] * ga[rows]
+
+
 def mlrp_compare(f: Distribution, g: Distribution) -> MlrpOrder:
     """Rank two distributions by the monotone likelihood ratio order.
 
     Uses the division-free cross-product form, so zero probabilities are
     legal: f dominates g iff f_s * g_t >= f_t * g_s for every s > t.
     """
-    if len(f) != len(g):
-        raise LengthMismatch("mlrp_compare: distributions have different lengths")
-    fa, ga = f.as_array(), g.as_array()
-    cross = np.outer(fa, ga)          # cross[s, t] = f_s * g_t
-    diff = cross - cross.T            # >= 0 below the diagonal iff f dominates
-    lower = diff[np.tril_indices(len(f), k=-1)]
+    lower = _lower_cross(f, g)
     f_dom = bool(np.all(lower >= -CROSS_TOL))
     g_dom = bool(np.all(lower <= CROSS_TOL))
     if f_dom and g_dom:
@@ -253,13 +267,8 @@ def mlrp_compare(f: Distribution, g: Distribution) -> MlrpOrder:
 
 def mlrp_strict(f: Distribution, g: Distribution) -> bool:
     """True iff f weakly dominates g and at least one cross-product is strict."""
-    if mlrp_compare(f, g) not in (MlrpOrder.F_DOMINATES_G, MlrpOrder.EQUAL):
-        return False
-    fa, ga = f.as_array(), g.as_array()
-    cross = np.outer(fa, ga)
-    diff = cross - cross.T
-    lower = diff[np.tril_indices(len(f), k=-1)]
-    return bool(np.any(lower > CROSS_TOL))
+    lower = _lower_cross(f, g)
+    return bool(np.all(lower >= -CROSS_TOL) and np.any(lower > CROSS_TOL))
 
 
 def reduce_distribution(p: Distribution, keep: int) -> Distribution:

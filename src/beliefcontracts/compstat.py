@@ -3,7 +3,8 @@
 Re-solves the contract along a grid of two-coordinate belief tilts (either
 party, either action), recording wage paths, multipliers, the wage-variance
 "power" of incentives, per-state direction verdicts, and the spots where the
-incentive constraint stops binding.
+incentive constraint stops binding.  ``detect_regime_change`` locates one such
+spot as the root of the risk-sharing contract's incentive slack.
 """
 
 from __future__ import annotations
@@ -15,10 +16,15 @@ import numpy as np
 from .beliefs import Monotonicity, Party, ProblemInstance, SolverKind
 from .errors import BeliefContractsError, ValidationError
 from .first_best import VERDICT_TOL, classify_monotonicity, solve_first_best
-from .second_best import solve_second_best
+from .kernel import illinois_bracket
+from .second_best import risk_sharing_slack, solve_second_best
 
 # the tilt's earlier private name, which the acceptance suite imports
 _tilted_instance = ProblemInstance.tilted
+
+# incentive tolerance of detect_regime_change's second-best solves and of
+# its slack comparison (solve_second_best's default)
+_INCENTIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,19 @@ class BeliefTilt:
 def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float,
                          target: str | None = None,
                          tol: float = 1e-6) -> float | None:
-    """Bisect for the eps at which the incentive constraint starts or stops
-    binding along the tilt; None when the flag agrees at both ends.
+    """Find the eps at which the incentive constraint starts or stops binding
+    along the tilt, within tol/2; None when the flag agrees at both ends.
+
+    The flag is the second best's ``coincides_with_first_best``.  Both ends
+    are solved with ``solve_second_best``, whose refusals propagate.  In
+    between the flag is read from the risk-sharing contract alone (see
+    ``risk_sharing_slack``): it flips where the smallest incentive slack
+    crosses -tol_s, tol_s = 1e-9 being the solver's incentive tolerance.  The
+    root of slack + tol_s is taken by ``illinois_bracket``, the side of each
+    point from the solver's own comparison slack < -tol_s, until the bracket
+    is at most tol wide; its midpoint is returned.  The root is taken on the
+    slack rather than on the multiplier mu(eps), which is identically 0 where
+    the constraint is slack and has a kink at the flip.
 
     Args:
         eps_max: upper end of the tilt range; must keep the open simplex.
@@ -139,20 +156,22 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
     if target is None:
         target = max(inst.actions, key=lambda a: a.cost).name
 
-    def flag(eps: float) -> bool:
-        tilted = inst.tilted(tilt.party, tilt.action, tilt.s, tilt.s_prime, eps)
-        return solve_second_best(tilted, target).coincides_with_first_best
+    def tilted(eps: float) -> ProblemInstance:
+        return inst.tilted(tilt.party, tilt.action, tilt.s, tilt.s_prime, eps)
+
+    def point(eps: float, sol=None):
+        """(eps, slack + tol_s, slack < -tol_s), reusing a coinciding end's slacks."""
+        if sol is not None and sol.coincides_with_first_best:
+            slack = min(sol.ic_slacks)
+        else:
+            slack = risk_sharing_slack(tilted(eps), target)
+        return eps, slack + _INCENTIVE_TOL, slack < -_INCENTIVE_TOL
 
     lo, hi = 0.0, float(eps_max)
-    f_lo, f_hi = flag(lo), flag(hi)
-    if f_lo == f_hi:
+    sol_lo = solve_second_best(tilted(lo), target, tol=_INCENTIVE_TOL)
+    sol_hi = solve_second_best(tilted(hi), target, tol=_INCENTIVE_TOL)
+    if sol_lo.coincides_with_first_best == sol_hi.coincides_with_first_best:
         return None
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if flag(mid) == f_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a, b = illinois_bracket(point, point(hi, sol_hi), point(lo, sol_lo), lambda x, y: tol)
+    # an exact zero of slack + tol_s is the flip itself
+    return a[0] if a[1] == 0.0 else 0.5 * (a[0] + b[0])

@@ -36,6 +36,7 @@ import numpy as np
 from .beliefs import (MlrpOrder, ProblemInstance, mlrp_compare,
                       reduce_distribution)
 from .errors import BeliefContractsError, NoBracket, RangeError, ValidationError
+from .kernel import illinois_bracket
 from .second_best import solve_active_set, solve_second_best
 from .utility import UtilityModel
 
@@ -244,48 +245,31 @@ def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
 
     trace: list[tuple[float, float, float, float]] = []
 
-    def solve(m: float) -> _PinnedInner:
+    def solve(m: float):
+        """(m, nu, side of nu, pinned solve), the point ``illinois_bracket`` takes."""
         inner = _pinned_inner(sp, m, tol)
         trace.append((float(m),) + _split(sp, inner))
-        return inner
+        return m, inner.nu, inner.nu < 0.0, inner
 
     # bracket a sign change of nu, walking downhill from m = 0
-    lo, f_lo = 0.0, solve(0.0)
-    step = math.copysign(0.25, -f_lo.nu)
-    hi, f_hi = lo, f_lo
-    while f_hi.nu * f_lo.nu > 0.0:
+    lo = hi = solve(0.0)
+    step = math.copysign(0.25, -lo[1])
+    while hi[1] * lo[1] > 0.0:
         try:
-            f_hi = solve(lo + step)
+            hi = solve(lo[0] + step)
         except BeliefContractsError:
             step *= 0.5               # feasibility edge: step back toward lo
             if abs(step) < 1e-12:
-                raise NoBracket(f"no admissible spread beyond m = {lo} "
+                raise NoBracket(f"no admissible spread beyond m = {lo[0]} "
                                 "in the descent direction") from None
             continue
-        hi = lo + step
-        if f_hi.nu * f_lo.nu > 0.0:
-            lo, f_lo, step = hi, f_hi, 2.0 * step
-            if abs(lo) > 1e6:
+        if hi[1] * lo[1] > 0.0:
+            lo, step = hi, 2.0 * step
+            if abs(lo[0]) > 1e6:
                 raise NoBracket("outer objective keeps decreasing; spread unbounded")
 
-    # Illinois regula falsi: a is the latest iterate, b the bracket end where
-    # nu has the other sign; the value kept for b is halved each time b stays
-    a, f_a, nu_a, b, f_b, nu_b = hi, f_hi, f_hi.nu, lo, f_lo, f_lo.nu
-    for _ in range(200):
-        width = 1e-12 * max(abs(a), abs(b))
-        if nu_a == 0.0 or abs(a - b) <= width:
-            break
-        m = a - nu_a * (a - b) / (nu_a - nu_b)
-        # step at least half the target width inside the bracket, so that a
-        # root sitting on an end closes the bracket in one more solve
-        m = min(max(m, min(a, b) + 0.5 * width), max(a, b) - 0.5 * width)
-        f_m = solve(m)
-        if f_m.nu * nu_a < 0.0:
-            b, f_b, nu_b = a, f_a, nu_a
-        else:
-            nu_b *= 0.5
-        a, f_a, nu_a = m, f_m, f_m.nu
-    m_star, inner = min((a, f_a), (b, f_b), key=lambda pair: abs(pair[1].nu))
+    a, b = illinois_bracket(solve, hi, lo, lambda x, y: 1e-12 * max(abs(x), abs(y)))
+    m_star, _, _, inner = min(a, b, key=lambda point: abs(point[1]))
     return _assemble(sp, m_star, inner, trace=tuple(trace))
 
 

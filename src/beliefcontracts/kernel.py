@@ -4,12 +4,18 @@ Everything here works in promised-utility space (v_s = u(w_s)), where the
 participation and incentive constraints are linear and the objective
 sum_s weight_s * h(v_s) is convex because h = u^-1 is convex.
 
-Two entry points:
+Two entry points, and the drivers' root-finder:
 
 ``solve_ir_only``
     Risk sharing against a single binding expected-utility constraint: its
     multiplier is bracketed (the constraint residual is strictly increasing
     in it) and then found by Newton steps safeguarded by bisection.
+
+``illinois_bracket``
+    Illinois regula falsi on a sign bracket, shared by the drivers that look
+    for a root along a scalar parameter (the spread's multiplier in
+    ``outer_minimize``, the risk-sharing incentive slack in
+    ``detect_regime_change``).
 
 ``minimize_on_affine``
     min sum_s weight_s h(v_s)  subject to  M v = r  for a full-row-rank M.
@@ -163,6 +169,35 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
             hi = cur
     lam, w, v, _ = best
     return np.asarray(v, dtype=float), np.asarray(w, dtype=float), float(lam)
+
+
+def illinois_bracket(f, a, b, width):
+    """Narrow a sign bracket by Illinois regula falsi (Dowell & Jarratt,
+    *BIT* 11, 1971).
+
+    Points are tuples (x, value, side, ...) as ``f(x)`` returns them, and a
+    and b lie on different sides: ``side`` decides which end an iterate
+    replaces, ``value`` is used only to interpolate.  a is the latest iterate
+    and b the bracket end on the other side; the value kept for b is halved
+    each time b stays.  Each iterate lands at least width(a, b) / 2 inside
+    the bracket, so a root sitting on an end closes it in one more
+    evaluation.  Stops when a's value is exactly zero, when the bracket is at
+    most width(a, b) wide or after 200 iterates, and returns (a, b).
+    """
+    value_b = b[1]
+    for _ in range(_MAX_ROOT):
+        span = width(a[0], b[0])
+        if a[1] == 0.0 or abs(a[0] - b[0]) <= span:
+            break
+        x = a[0] - a[1] * (a[0] - b[0]) / (a[1] - value_b)
+        x = min(max(x, min(a[0], b[0]) + 0.5 * span), max(a[0], b[0]) - 0.5 * span)
+        c = f(x)
+        if c[2] != a[2]:
+            b, value_b = a, a[1]
+        else:
+            value_b *= 0.5
+        a = c
+    return a, b
 
 
 def _independent_rows(M: np.ndarray, r: np.ndarray):

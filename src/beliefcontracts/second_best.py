@@ -86,6 +86,24 @@ def _ic_rows(inst: ProblemInstance, target: str):
     return q, rows, rhs, names
 
 
+def risk_sharing_slack(inst: ProblemInstance, target: str) -> float:
+    """Smallest incentive slack of the risk-sharing contract for ``target``.
+
+    This is the contract ``solve_active_set`` solves on its first, empty
+    working set: the same ``solve_ir_only`` call on the same data, and the
+    same slacks that it compares with -tol.  The search starts at the empty
+    set and can never return to it, because the empty set is already in
+    ``seen``.  So wherever ``solve_second_best(inst, target, tol)`` returns
+    without a wage box, its ``coincides_with_first_best`` holds exactly when
+    this slack is not below -tol.
+    """
+    act = inst.action(target)
+    q, rows, rhs, _ = _ic_rows(inst, target)
+    v, _, _ = solve_ir_only(act.principal_beliefs.as_array(), q, inst.utility,
+                            inst.reservation_utility + act.cost)
+    return float(min(row @ v - rv for row, rv in zip(rows, rhs)))
+
+
 def solve_active_set(weights, eq_rows, eq_rhs, ineqs, model, tol: float,
                      start: frozenset[int] = frozenset()):
     """Minimize sum_s weights_s h(v_s) s.t. eq_rows v = eq_rhs (row 0 is

@@ -3,6 +3,8 @@
     python tests/outcome_diff.py OLD_SRC NEW_SRC --solve-mix 8101 8202 --ops 3000
     python tests/outcome_diff.py OLD_SRC NEW_SRC --driver-mix 6262 --ops 3276 \\
         --kinds choose_action_3
+    python tests/outcome_diff.py OLD_SRC NEW_SRC --driver-mix 5151 --ops 2700 \\
+        --kinds detect_regime_change,cara_compstat
 
 OLD_SRC and NEW_SRC are ``src`` directories (say, of a ``git archive`` of
 the parent commit and of the working tree).  Each side runs in its own
@@ -16,12 +18,14 @@ it is the same on both sides and is not asked.
 
 Beside each op's verdict, a choose_action op records one direct
 ``solve_second_best`` per action (``i/action``) with the ``check_solve``
-verdict of solve_mix, and every returned contract records its wages and
-``kkt_certificate``'s stationarity_max.  The report prints every verdict
-transition, with stationarity_max before and after when both sides
-returned a contract, the certified count of each side, and the largest
-relative wage move max_s |w'_s - w_s| / max_s |w_s| among the solves both
-sides certify.  Not collected by pytest (no ``test_`` prefix).
+verdict of solve_mix, every returned contract records its wages and
+``kkt_certificate``'s stationarity_max, and a detect_regime_change op that
+returned an eps records it.  The report prints every verdict transition,
+with stationarity_max before and after when both sides returned a contract,
+the certified count of each side, the largest relative wage move
+max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify, and
+the largest |eps*' - eps*| among the regime detections both sides answer
+with an eps.  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-DRIVER_KINDS = ("choose_action_2", "choose_action_3", "oracle_audit_3", "oracle_audit_4")
+DRIVER_KINDS = ("choose_action_2", "choose_action_3", "oracle_audit_3", "oracle_audit_4",
+                "detect_regime_change", "cara_compstat")
 
 
 def _solve_record(checks, bc, inst, target, outcome) -> dict:
@@ -81,6 +86,8 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
             out[str(i)] = {"verdict": wl.check(case, outcome)}
         except Exception as exc:     # as bench/run.py labels a check that raised
             out[str(i)] = {"verdict": "unchecked:" + type(exc).__name__}
+        if isinstance(outcome, float):
+            out[str(i)]["eps_star"] = outcome
         if case["kind"].startswith("choose_action"):
             inst = case["inst"]
             for act in inst.actions:
@@ -122,6 +129,12 @@ def compare(label: str, old: dict, new: dict) -> None:
                 worst, where = move, key
     print(f"  largest relative wage move among solves both certify: {worst:.3g}"
           + (f" (op {where})" if where else ""))
+    moves = [(abs(new[key]["eps_star"] - old[key]["eps_star"]), key) for key in old
+             if "eps_star" in old[key] and "eps_star" in new[key]]
+    if moves:
+        move, where = max(moves)
+        print(f"  largest eps* move among {len(moves)} detections both sides answer: "
+              f"{move:.3g} (op {where})")
 
 
 def main(argv=None) -> int:

@@ -233,6 +233,37 @@ def mlrp_pair(rng, S, min_p=0.01):
     return bc.Distribution(tuple(f)), bc.Distribution(tuple(g))
 
 
+def mlrp_compare_reference(f, g):
+    """``mlrp_compare`` as it was before it shared one cached triangle with
+    ``mlrp_strict``, kept verbatim as the reference it must match."""
+    if len(f) != len(g):
+        raise bc.LengthMismatch("mlrp_compare: distributions have different lengths")
+    fa, ga = f.as_array(), g.as_array()
+    cross = np.outer(fa, ga)          # cross[s, t] = f_s * g_t
+    diff = cross - cross.T            # >= 0 below the diagonal iff f dominates
+    lower = diff[np.tril_indices(len(f), k=-1)]
+    f_dom = bool(np.all(lower >= -bc.beliefs.CROSS_TOL))
+    g_dom = bool(np.all(lower <= bc.beliefs.CROSS_TOL))
+    if f_dom and g_dom:
+        return bc.MlrpOrder.EQUAL
+    if f_dom:
+        return bc.MlrpOrder.F_DOMINATES_G
+    if g_dom:
+        return bc.MlrpOrder.G_DOMINATES_F
+    return bc.MlrpOrder.INCOMPARABLE
+
+
+def mlrp_strict_reference(f, g):
+    """``mlrp_strict`` as it was, kept verbatim as the reference it must match."""
+    if mlrp_compare_reference(f, g) not in (bc.MlrpOrder.F_DOMINATES_G, bc.MlrpOrder.EQUAL):
+        return False
+    fa, ga = f.as_array(), g.as_array()
+    cross = np.outer(fa, ga)
+    diff = cross - cross.T
+    lower = diff[np.tril_indices(len(f), k=-1)]
+    return bool(np.any(lower > bc.beliefs.CROSS_TOL))
+
+
 def grid_around(inst, utility_levels, points, pad=0.3):
     """Oracle grid straddling a solution's promised utilities, clamped to the
     utility range of the instance's family."""

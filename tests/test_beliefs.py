@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import beliefcontracts as bc
 from beliefcontracts import MlrpOrder
-from support import mlrp_pair
+from support import mlrp_compare_reference, mlrp_pair, mlrp_strict_reference
 
 D = lambda *p: bc.Distribution(tuple(p))
 
@@ -97,6 +97,36 @@ class TestMlrpCompare:
             cf = np.cumsum(f.as_array())
             cg = np.cumsum(g.as_array())
             assert np.all(cf <= cg + 1e-12)
+
+    def test_matches_the_reference(self):
+        # seeded pairs of every kind at S = 2..10: ordered both ways, equal,
+        # equal up to one rounding, independent, and with zero entries
+        rng = np.random.default_rng(101)
+        kinds = set()
+        for k in range(900):
+            S = 2 + k % 9
+            g_arr = rng.dirichlet(np.ones(S))
+            f_arr = g_arr * np.cumprod(rng.uniform(1.0, 1.5, S))
+            f, g = D(*(f_arr / f_arr.sum())), D(*g_arr)
+            case = k // 9 % 5
+            if case == 1:
+                f, g = g, f
+            elif case == 2:
+                g = f if k % 2 else D(*f.probs[:-1], 1.0 - sum(f.probs[:-1]))
+            elif case == 3:
+                f = D(*rng.dirichlet(np.ones(S)))
+            elif case == 4:
+                p = rng.dirichlet(np.ones(S)) * (rng.random(S) < 0.6)
+                f = D(*(p / p.sum())) if p.sum() > 0 else f
+                g = D(*rng.dirichlet(np.ones(S))) if k % 2 else f
+            order = bc.mlrp_compare(f, g)
+            kinds.add(order)
+            assert order is mlrp_compare_reference(f, g), k
+            assert bc.mlrp_strict(f, g) is mlrp_strict_reference(f, g), k
+            assert bc.mlrp_strict(g, f) is mlrp_strict_reference(g, f), k
+        assert kinds == set(MlrpOrder)
+        with pytest.raises(bc.LengthMismatch):
+            bc.mlrp_strict(D(0.5, 0.5), D(0.2, 0.3, 0.5))
 
 
 @st.composite

@@ -1,10 +1,14 @@
 """Sweep engine: wage paths, verdicts, power series, regime detection."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import beliefcontracts as bc
-from beliefcontracts import Monotonicity, Party, SolverKind
+from beliefcontracts import Monotonicity, Party, SolverKind, compstat
+
+DATA = Path(__file__).parent / "data"
 
 D = lambda *p: bc.Distribution(tuple(p))
 
@@ -108,6 +112,36 @@ class TestRegimeDetection:
         coarse = bc.detect_regime_change(inst, tilt, 0.45, target="H", tol=1e-6)
         fine = bc.detect_regime_change(inst, tilt, 0.45, target="H", tol=1e-9)
         assert abs(coarse - fine) <= 1e-6
+
+    def test_two_second_best_solves_per_answer(self, monkeypatch):
+        # the ends are solved in full; inside the bracket only the
+        # risk-sharing contract is
+        calls = {"second_best": 0, "risk_sharing": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(compstat, "solve_second_best",
+                            counted("second_best", compstat.solve_second_best))
+        monkeypatch.setattr(compstat, "risk_sharing_slack",
+                            counted("risk_sharing", compstat.risk_sharing_slack))
+        inst = bc.load_problem(DATA / "log_two_state.json")
+        eps = bc.detect_regime_change(inst, bc.BeliefTilt(Party.PRINCIPAL, "H", 0, 1),
+                                      0.45, target="H")
+        assert eps is not None
+        assert calls["second_best"] == 2
+        assert calls["risk_sharing"] <= 8
+
+    def test_end_refusal_propagates(self):
+        # driver_mix seed 5151 op 497: both ends are Infeasible, while the
+        # risk-sharing slack alone reads "binding" at both ends (no flip)
+        inst = bc.load_problem(DATA / "cara_detect_infeasible_ends.json")
+        tilt = bc.BeliefTilt(Party.PRINCIPAL, "H", 0, 2)
+        with pytest.raises(bc.Infeasible):
+            bc.detect_regime_change(inst, tilt, 0.1018470635233914, target="H")
 
     def test_sweep_records_the_regime_change(self):
         inst = log_two_state()

@@ -12,7 +12,8 @@ import pytest
 
 import beliefcontracts as bc
 from beliefcontracts import Monotonicity
-from support import two_action_instance
+from beliefcontracts.second_best import risk_sharing_slack
+from support import FAMILY_NAMES, make_family, rand_outputs, rand_simplex, two_action_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,6 +212,48 @@ class TestSolveSecondBest:
         free = bc.solve_second_best(inst, "H")
         with pytest.raises(bc.Infeasible):
             bc.solve_second_best(inst, "H", wage_box=(1e-3, free.wages[1] - 1.0))
+
+
+def many_action_draw(k: int):
+    """Draw k of a fixed cycle over S = 2..10, A = 2..5 and the five families:
+    independent beliefs (the principal's equal to the agent's 40% of the
+    time) and increasing costs; the target is the costliest action."""
+    rng = np.random.default_rng([20261018, k])
+    S, A = 2 + k % 9, 2 + (k // 9) % 4
+    name = FAMILY_NAMES[(k // 36) % 5]
+    costs = np.cumsum(np.concatenate([[rng.uniform(0.0, 0.2)], rng.uniform(0.1, 0.45, A - 1)]))
+    if name in ("cara", "crra_high"):
+        ubar = float(rng.uniform(-3.0, -costs[-1] - 0.4))
+    elif name == "log":
+        ubar = float(rng.uniform(-1.0, 1.0))
+    else:   # utility range bounded below at 0: keep the level well above it
+        ubar = float(rng.uniform(2.0, 4.0))
+    actions = []
+    for j, cost in enumerate(costs):
+        agent = rand_simplex(rng, S, min_p=0.01)
+        principal = agent if rng.random() < 0.4 else rand_simplex(rng, S, min_p=0.01)
+        actions.append(bc.ActionSpec(f"a{j}", float(cost), D(*principal), D(*agent)))
+    return bc.ProblemInstance(rand_outputs(rng, S), tuple(actions), ubar,
+                              make_family(name)), f"a{A - 1}"
+
+
+class TestRiskSharingSlack:
+    def test_flag_is_the_coincidence_flag(self):
+        # the identity risk_sharing_slack states: exact, no tolerance
+        seen = {True: 0, False: 0}
+        for k in range(1440):
+            inst, target = many_action_draw(k)
+            try:
+                sol = bc.solve_second_best(inst, target, tol=1e-9)
+            except bc.BeliefContractsError:
+                continue
+            slack = risk_sharing_slack(inst, target)
+            assert (not slack < -1e-9) == sol.coincides_with_first_best, k
+            if sol.coincides_with_first_best:
+                assert slack == min(sol.ic_slacks), k
+            seen[sol.coincides_with_first_best] += 1
+        assert seen[True] + seen[False] >= 1000
+        assert min(seen.values()) >= 100
 
 
 class TestChooseAction:
