@@ -8,8 +8,10 @@ scalar equation in the low-state wage w_1:
     kappa21 x1 - kappa32 x3 = R2,        R2 = -Delta_2 ubar + c eta_2
 
 together with the pivot equation ("the scalar equation") built from the
-state-2 first-order condition.  Risk aversion is fixed at r = 1; rescale the
-money unit (w -> r*w, ubar and c unchanged in utils) to cover general r.
+state-2 first-order condition, whose root ``solve_w1`` finds by safeguarded
+Newton steps on its closed-form slope.  Risk aversion is fixed at r = 1;
+rescale the money unit (w -> r*w, ubar and c unchanged in utils) to cover
+general r.
 
 State indices here are 0-based: states 0, 1, 2 in increasing output order.
 """
@@ -27,10 +29,10 @@ from .beliefs import (ActionSpec, Distribution, DeltaVector, ProblemInstance,
 from .errors import (EpsilonTooLarge, NegativeMu, NoRootInBranch, OutOfBranch,
                      ValidationError)
 from .first_best import VERDICT_TOL, classify_monotonicity
+from .kernel import rtsafe
 from .utility import CaraUtility
 
 _MAX_EXPAND = 200
-_MAX_BISECT = 240
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ class CaraSystem:
         ubar: reservation utility, negative in the exponential family.
 
     The derived constants (delta, the kappas, gamma2, r2, r3) are computed
-    once per instance, on first use, and reused by every step of the w1
-    bisection; ``dataclasses.replace`` builds a new instance with its own.
+    once per instance, on first use, and reused by every gap and slope
+    evaluation of the w1 root-find; ``dataclasses.replace`` builds a new
+    instance with its own.
     """
 
     pi_high: Distribution
@@ -149,23 +152,55 @@ def _pivot_gap(sys: CaraSystem, w1: float) -> float:
     return lhs - rhs
 
 
+def _pivot_slope(sys: CaraSystem, w1: float) -> float:
+    """d/dw1 of ``_pivot_gap``: minus the derivative of its right-hand side.
+
+    The right-hand side is P(w1) e^-w2 with P = p0 e^w1 (gamma2 + Delta_1 /
+    Delta_0) + p2 gamma2 e^w3.  On the branch d(e^w3)/dw1 = e^w3 kappa21
+    e^-w1 / (kappa21 e^-w1 - r2) and d(e^-w2)/dw1 = kappa31 e^-w1 / kappa32;
+    every factor is positive, so the slope is negative and the gap falls
+    strictly.
+    """
+    d = sys.delta.values
+    p = sys.principal.probs
+    g2 = sys.gamma2
+    x1 = math.exp(-w1)
+    denom3 = sys.kappa21 * x1 - sys.r2
+    e_w3 = sys.kappa32 / denom3
+    e_neg_w2 = (sys.r3 - sys.kappa31 * x1) / sys.kappa32
+    low = p[0] * math.exp(w1) * (g2 + d[1] / d[0])
+    top = p[2] * g2 * e_w3
+    return -((low + top * sys.kappa21 * x1 / denom3) * e_neg_w2
+             + (low + top) * sys.kappa31 * x1 / sys.kappa32)
+
+
 def solve_w1(sys: CaraSystem, tol: float = 1e-12) -> float:
     """Root of the scalar pivot equation on the admissible branch.
 
-    The gap is positive at the branch floor and falls to -inf at the other
-    end, so the root is located by expanding a bracket and bisecting.
+    The gap is positive at the branch floor and falls strictly to -inf at the
+    other end.  A sign bracket is found next to the floor and next to the
+    other end (or, on an unbounded branch, by doubling away from the floor);
+    the root is then found by Newton steps on the closed-form slope
+    ``_pivot_slope``, safeguarded by bisection (``kernel.rtsafe``).  It stops
+    when the Newton correction is at most tol/2 * max(1, |w1|) or the bracket
+    is at most tol * max(1, |w1|) wide, and returns the evaluated w1 with the
+    smallest |gap|.
     """
+    def point(w1: float):
+        gap = _pivot_gap(sys, w1)
+        return w1, gap, gap > 0.0
+
     lo, hi = branch_interval(sys)
     width = (hi - lo) if math.isfinite(hi) else 1.0
-    a = None
     margin = 1e-8 * max(1.0, width)
     for _ in range(60):
         cand = lo + margin
-        if (not math.isfinite(hi) or cand < hi) and _pivot_gap(sys, cand) > 0.0:
-            a = cand
-            break
+        if not math.isfinite(hi) or cand < hi:
+            a = point(cand)
+            if a[2]:
+                break
         margin *= 0.5
-    if a is None:
+    else:
         raise NoRootInBranch("pivot equation not positive anywhere near the branch floor")
 
     if math.isfinite(hi):
@@ -173,32 +208,29 @@ def solve_w1(sys: CaraSystem, tol: float = 1e-12) -> float:
         margin = 1e-8 * width
         for _ in range(60):
             cand = hi - margin
-            if cand > a and _pivot_gap(sys, cand) < 0.0:
-                b = cand
-                break
+            if cand > a[0]:
+                end = point(cand)
+                if end[1] < 0.0:
+                    b = end
+                    break
             margin *= 2.0
-            if hi - margin <= a:
+            if hi - margin <= a[0]:
                 break
         if b is None:
             raise NoRootInBranch("pivot equation does not change sign on the branch")
     else:
-        b = a + 1.0
+        step = 1.0
         for _ in range(_MAX_EXPAND):
-            if _pivot_gap(sys, b) < 0.0:
+            b = point(a[0] + step)
+            if b[1] < 0.0:
                 break
-            b = a + 2.0 * (b - a)
+            step *= 2.0
         else:
             raise NoRootInBranch("pivot equation never becomes negative")
 
-    for _ in range(_MAX_BISECT):
-        if b - a <= tol * max(1.0, abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if _pivot_gap(sys, mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return rtsafe(point, lambda cur: _pivot_slope(sys, cur[0]), a, b,
+                  lambda x: 0.5 * tol * max(1.0, abs(x)),
+                  lambda x, y: tol * max(1.0, abs(y)))[0]
 
 
 def multipliers(sys: CaraSystem, wages) -> tuple[float, float]:

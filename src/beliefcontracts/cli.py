@@ -30,11 +30,20 @@ from .second_best import choose_action, figure_data, solve_second_best
 from .beliefs import mlrp_compare, mlrp_strict, reduce_distribution
 
 
+def _number(kind, text: str, flag: str):
+    """``kind(text)``, with a malformed number refused as a ParseError naming the flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"{flag}: {text!r} is not {what}") from None
+
+
 def _parse_states(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("--states expects two comma-separated indices, e.g. 1,2")
-    return int(parts[0]), int(parts[1])
+    return _number(int, parts[0], "--states"), _number(int, parts[1], "--states")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -43,15 +52,16 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParseError("--eps-grid expects start:stop:count or a comma list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = (_number(float, x, "--eps-grid") for x in parts[:2])
+        count = _number(int, parts[2], "--eps-grid")
         if count < 1:
             raise ParseError("--eps-grid count must be >= 1")
         return [float(x) for x in np.linspace(start, stop, count)]
-    return [float(x) for x in text.split(",")]
+    return [_number(float, x, "--eps-grid") for x in text.split(",")]
 
 
-def _parse_dist(text: str) -> Distribution:
-    return Distribution(tuple(float(x) for x in text.split(",")))
+def _parse_dist(text: str, flag: str) -> Distribution:
+    return Distribution(tuple(_number(float, x, flag) for x in text.split(",")))
 
 
 def _solver_kind(text: str) -> SolverKind:
@@ -169,7 +179,7 @@ def _run(args, argv) -> int:
     if cmd not in ("compstat", "figure-data"):
         _require_format(args, "json", ("json",))   # solutions are structured objects
     if cmd == "mlrp":
-        f, g = _parse_dist(args.f), _parse_dist(args.g)
+        f, g = _parse_dist(args.f, "--f"), _parse_dist(args.g, "--g")
         payload = dump_json({
             "ordering": mlrp_compare(f, g).value,
             "strict": mlrp_strict(f, g) or mlrp_strict(g, f),
@@ -177,7 +187,7 @@ def _run(args, argv) -> int:
         _emit(args, payload, argv)
         return 0
     if cmd == "reduce":
-        reduced = reduce_distribution(_parse_dist(args.p), args.keep)
+        reduced = reduce_distribution(_parse_dist(args.p, "--p"), args.keep)
         _emit(args, dump_json({"probs": list(reduced.probs)}) + "\n", argv)
         return 0
 

@@ -19,8 +19,9 @@ Two inner programs live here:
     responds to w_3 and its fixed point misses the optimum at first order.
     The reported outer objective is still delta4' * M(m) + C(m), which equals
     the full expected wage bill identically.  The outer derivative is the
-    multiplier nu on the pinned spread (the envelope theorem), so the outer
-    step is a bracketed root-find on nu(m), not a search on cost values.
+    multiplier nu on the pinned spread (the envelope theorem), and its slope
+    nu'(m) follows from the pinned solve's own rows, so the outer step is a
+    safeguarded Newton root-find on nu(m), not a search on cost values.
 
 Both run on ``second_best.solve_active_set``, started with the incentive
 constraint binding.
@@ -36,9 +37,12 @@ import numpy as np
 from .beliefs import (MlrpOrder, ProblemInstance, mlrp_compare,
                       reduce_distribution)
 from .errors import BeliefContractsError, NoBracket, RangeError, ValidationError
-from .kernel import illinois_bracket
+from .kernel import rtsafe
 from .second_best import solve_active_set, solve_second_best
 from .utility import UtilityModel
+
+_MAX_WALK = 200
+_SPREAD_ROW = np.array([0.0, 0.0, -1.0, 1.0])     # v_4 - v_3, the pinned spread
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def _pinned_inner(sp: SpreadProblem, m: float, tol: float) -> _PinnedInner:
     last row), searched from a binding incentive constraint as in ``inner_cost``."""
     weights = sp.delta4
     v, w, theta, active = solve_active_set(
-        weights, [sp.pi4, np.array([0.0, 0.0, -1.0, 1.0])], [sp.level, m],
+        weights, [sp.pi4, _SPREAD_ROW], [sp.level, m],
         [(sp.pi4 - sp.eta4, sp.cost_gap)], sp.base.utility, tol, start=frozenset({0}))
     lam, mu, nu = theta if active else (theta[0], 0.0, *theta[1:])
     return _PinnedInner(cost_total=float(weights @ w), v=tuple(float(x) for x in v),
@@ -220,17 +224,49 @@ class OuterSolution:
     trace: tuple[tuple[float, float, float, float], ...]
 
 
+def _nu_slope(sp: SpreadProblem, inner: _PinnedInner) -> float:
+    """d nu / dm at a pinned solve, with its working set held fixed.
+
+    Differentiating the stationarity conditions delta_s h'(v_s) = (M^T theta)_s
+    and the active rows M v = r in m (only the spread row's level moves) gives
+    J d theta / dm = e_nu with J = M diag(1 / (delta h''(v))) M^T, so
+    nu'(m) = [J^-1]_nu,nu > 0 (Fiacco, *Introduction to Sensitivity and
+    Stability Analysis in Nonlinear Programming*, 1983).  M holds the solve's
+    own rows: participation, the incentive row if it binds, the spread row.
+    NaN when J cannot be formed or solved.
+    """
+    rows = [sp.pi4] + ([sp.pi4 - sp.eta4] if inner.ic_binding else []) + [_SPREAD_ROW]
+    M = np.vstack(rows)
+    hpp = np.asarray(sp.base.utility.inverse_second_derivative(np.asarray(inner.v)),
+                     dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        curv = 1.0 / (sp.delta4 * hpp)
+    if not np.isfinite(curv).all():
+        return math.nan
+    e_nu = np.zeros(len(rows))
+    e_nu[-1] = 1.0
+    try:
+        return float(np.linalg.solve(M @ (curv[:, None] * M.T), e_nu)[-1])
+    except np.linalg.LinAlgError:
+        return math.nan
+
+
 def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
     """Minimize delta4' * M(m) + C(m) over the spread as a root of its multiplier.
 
     By the envelope theorem the outer derivative G'(m) is the multiplier nu on
     the pinned spread constraint, and G is convex, so the optimum is the root
-    of nu(m).  From m = 0 the search doubles its step in the direction of
-    -nu(0) until nu changes sign (a probe the solver refuses steps back toward
-    the last feasible spread), then narrows the bracket by Illinois regula
-    falsi to a relative width of 1e-12.  The assembled contract satisfies the
-    outer first-order condition delta4' M'(m) = lam pi4' + mu Delta4' (its
-    residual is nu) and coincides with the direct 4-state solve.
+    of nu(m).  From m = 0 the search walks by Newton steps -nu / nu', with
+    nu' from ``_nu_slope``; only where that slope is unusable does it take
+    the doubling step (0.25, then twice the last).  A probe the solver
+    refuses is replaced by one halfway back toward the last admissible
+    spread.  Once nu changes sign the bracket is narrowed by safeguarded
+    Newton (``kernel.rtsafe``).  Both stop when the Newton correction is at
+    most 1e-12 relative or the bracket is at most 1e-12 relative wide, and m*
+    is the solved spread with the smallest |nu|.  The assembled contract
+    satisfies the outer first-order condition delta4' M'(m) = lam pi4' +
+    mu Delta4' (its residual is nu) and coincides with the direct 4-state
+    solve.
     """
     if float(sp.delta4[3]) == 0.0 and float(sp.pi4[3]) == 0.0 and float(sp.eta4[3]) == 0.0:
         # objective constant in the spread: return m* = 0 by convention,
@@ -246,30 +282,50 @@ def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
     trace: list[tuple[float, float, float, float]] = []
 
     def solve(m: float):
-        """(m, nu, side of nu, pinned solve), the point ``illinois_bracket`` takes."""
+        """(m, nu, nu < 0, pinned solve), the point ``rtsafe`` takes."""
         inner = _pinned_inner(sp, m, tol)
         trace.append((float(m),) + _split(sp, inner))
         return m, inner.nu, inner.nu < 0.0, inner
 
-    # bracket a sign change of nu, walking downhill from m = 0
-    lo = hi = solve(0.0)
-    step = math.copysign(0.25, -lo[1])
-    while hi[1] * lo[1] > 0.0:
-        try:
-            hi = solve(lo[0] + step)
-        except BeliefContractsError:
-            step *= 0.5               # feasibility edge: step back toward lo
-            if abs(step) < 1e-12:
-                raise NoBracket(f"no admissible spread beyond m = {lo[0]} "
-                                "in the descent direction") from None
-            continue
-        if hi[1] * lo[1] > 0.0:
-            lo, step = hi, 2.0 * step
-            if abs(lo[0]) > 1e6:
-                raise NoBracket("outer objective keeps decreasing; spread unbounded")
+    def slope(point) -> float:
+        return _nu_slope(sp, point[3])
 
-    a, b = illinois_bracket(solve, hi, lo, lambda x, y: 1e-12 * max(abs(x), abs(y)))
-    m_star, _, _, inner = min(a, b, key=lambda point: abs(point[1]))
+    def step_tol(m: float) -> float:
+        return 1e-12 * abs(m)
+
+    # walk downhill from m = 0 until nu changes sign
+    a = solve(0.0)
+    doubling = math.copysign(0.25, -a[1])
+    for _ in range(_MAX_WALK):
+        if a[1] == 0.0:
+            break
+        d = slope(a)
+        if 0.0 < d < math.inf:
+            step = -a[1] / d
+            if abs(step) <= step_tol(a[0]):
+                break                 # converged without crossing the root
+        else:
+            step, doubling = doubling, 2.0 * doubling
+        while True:
+            try:
+                b = solve(a[0] + step)
+                break
+            except BeliefContractsError:
+                step *= 0.5           # feasibility edge: step back toward a
+                if abs(step) < 1e-12:
+                    raise NoBracket(f"no admissible spread beyond m = {a[0]} "
+                                    "in the descent direction") from None
+        if b[2] != a[2]:
+            lo, hi = (a, b) if a[0] < b[0] else (b, a)
+            a = rtsafe(solve, slope, lo, hi, step_tol,
+                       lambda x, y: 1e-12 * max(abs(x), abs(y)))
+            break
+        a = b
+        if abs(a[0]) > 1e6:
+            raise NoBracket("outer objective keeps decreasing; spread unbounded")
+    else:
+        raise NoBracket(f"spread multiplier did not change sign in {_MAX_WALK} probes")
+    m_star, _, _, inner = a
     return _assemble(sp, m_star, inner, trace=tuple(trace))
 
 

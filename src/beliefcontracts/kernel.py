@@ -4,18 +4,22 @@ Everything here works in promised-utility space (v_s = u(w_s)), where the
 participation and incentive constraints are linear and the objective
 sum_s weight_s * h(v_s) is convex because h = u^-1 is convex.
 
-Two entry points, and the drivers' root-finder:
+Two entry points, and two scalar root-finders:
 
 ``solve_ir_only``
     Risk sharing against a single binding expected-utility constraint: its
     multiplier is bracketed (the constraint residual is strictly increasing
-    in it) and then found by Newton steps safeguarded by bisection.
+    in it) and then found by ``rtsafe``.
+
+``rtsafe``
+    Newton's method safeguarded by bisection on a sign bracket, for roots
+    whose slope is known in closed form: the risk-sharing multiplier here,
+    the spread multiplier in ``outer_minimize`` and the pivot equation in
+    ``cara.solve_w1``.
 
 ``illinois_bracket``
-    Illinois regula falsi on a sign bracket, shared by the drivers that look
-    for a root along a scalar parameter (the spread's multiplier in
-    ``outer_minimize``, the risk-sharing incentive slack in
-    ``detect_regime_change``).
+    Illinois regula falsi on a sign bracket, for a root without a slope (the
+    risk-sharing incentive slack in ``detect_regime_change``).
 
 ``minimize_on_affine``
     min sum_s weight_s h(v_s)  subject to  M v = r  for a full-row-rank M.
@@ -97,12 +101,10 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     residual R(lam) is strictly increasing, with
     R'(lam) = -(1/lam) sum_s probs_s m_s^2 / u''(w_s).  From the
     constant-wage multiplier, doubling or halving finds a sign bracket; then
-    a safeguarded Newton iteration (Numerical Recipes' ``rtsafe``) starts at
-    the bracket end with the smaller |R|, takes the Newton step when it lands
-    strictly inside the bracket and bisects otherwise.  It stops when the
-    Newton correction is at most 4 u lam (u = 2^-53) or the bracket is at
-    most 1e-12 relative wide, and returns the evaluated multiplier with the
-    smallest |R|.
+    ``rtsafe`` runs on R with that slope, taken from the wages evaluated at
+    each iterate.  It stops when the Newton correction is at most 4 u lam
+    (u = 2^-53) or the bracket is at most 1e-12 relative wide, and returns
+    the evaluated multiplier with the smallest |R|.
 
     Returns:
         (v, wages, lam) with v_s = u(w_s).
@@ -117,58 +119,84 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     ratio = weights / probs
 
     def point(lam: float):
-        """(lam, wages, v, R(lam)), the wages and utilities as evaluated."""
+        """(lam, R(lam), R < 0, wages, v), the wages and utilities as evaluated."""
         w = model.inverse_marginal(ratio / lam)
         v = model.evaluate(w)
-        return lam, w, v, float(probs @ v) - rhs
+        r = float(probs @ v) - rhs
+        return lam, r, r < 0.0, w, v
 
     lam0 = float(model.inverse_derivative(rhs))   # 1/u' at the constant wage h(rhs)
     lo = hi = point(lam0)
-    if lo[3] < 0.0:
+    if lo[1] < 0.0:
         for _ in range(_MAX_BRACKET):
             hi = point(2.0 * lo[0])
-            if hi[3] >= 0.0:
+            if hi[1] >= 0.0:
                 break
             lo = hi
         else:
             raise NoBracket("participation residual never becomes non-negative")
-    elif lo[3] > 0.0:
+    elif lo[1] > 0.0:
         for _ in range(_MAX_BRACKET):
             lo = point(0.5 * hi[0])
-            if lo[3] <= 0.0:
+            if lo[1] <= 0.0:
                 break
             hi = lo
         else:
             raise NoBracket("participation residual never becomes non-positive")
     else:
         # lam0 zeroes the residual: nothing to improve
-        return np.asarray(lo[2], dtype=float), np.asarray(lo[1], dtype=float), lam0
+        return np.asarray(lo[4], dtype=float), np.asarray(lo[3], dtype=float), lam0
 
-    best = cur = lo if abs(lo[3]) <= abs(hi[3]) else hi
-    for _ in range(_MAX_ROOT):
-        lam, w, _, r = cur
+    def slope(cur) -> float:
+        """R'(lam) at an iterate, from the wages evaluated there."""
+        lam, w = cur[0], cur[3]
         m = ratio / lam
-        rprime = -float(probs @ (m * m / model.second_derivative(w))) / lam
-        if 0.0 < rprime < np.inf:
-            step = r / rprime
-            if abs(step) <= 4.0 * _UNIT_ROUNDOFF * lam:
+        return -float(probs @ (m * m / model.second_derivative(w))) / lam
+
+    lam, _, _, w, v = rtsafe(point, slope, lo, hi,
+                             lambda x: 4.0 * _UNIT_ROUNDOFF * x,
+                             lambda a, b: 1e-12 * b)
+    return np.asarray(v, dtype=float), np.asarray(w, dtype=float), float(lam)
+
+
+def rtsafe(f, slope, lo, hi, step_tol, width):
+    """Newton's method safeguarded by bisection on a sign bracket (Numerical
+    Recipes' ``rtsafe``, Press et al., section 9.4).
+
+    Points are tuples (x, value, side, ...) as ``f(x)`` returns them, with
+    lo[0] < hi[0]; ``side`` is true on lo's side of the root and decides which
+    end an iterate replaces.  ``slope(point)`` is d value / dx at the current
+    iterate, asked once per step and never at any other point; it is usable
+    when it is finite, non-zero and has the sign of hi's value minus lo's.
+    From the end with the smaller |value| each step goes to the Newton point
+    when that lies strictly inside the bracket and to the midpoint otherwise.
+    Stops when the Newton correction at x is at most step_tol(x), when the
+    bracket is at most width(lo[0], hi[0]) wide or after 200 iterates, and
+    returns the evaluated point with the smallest |value|.
+    """
+    sign = 1.0 if hi[1] > lo[1] else -1.0
+    best = cur = lo if abs(lo[1]) <= abs(hi[1]) else hi
+    for _ in range(_MAX_ROOT):
+        d = slope(cur)
+        if 0.0 < sign * d < np.inf:
+            step = cur[1] / d
+            if abs(step) <= step_tol(cur[0]):
                 break
         else:
             step = np.nan                 # no usable slope: bisect
-        if hi[0] - lo[0] <= 1e-12 * hi[0]:
+        if hi[0] - lo[0] <= width(lo[0], hi[0]):
             break
-        cand = lam - step
+        cand = cur[0] - step
         if not lo[0] < cand < hi[0]:
             cand = 0.5 * (lo[0] + hi[0])
-        cur = point(cand)
-        if abs(cur[3]) < abs(best[3]):
+        cur = f(cand)
+        if abs(cur[1]) < abs(best[1]):
             best = cur
-        if cur[3] < 0.0:
+        if cur[2]:
             lo = cur
         else:
             hi = cur
-    lam, w, v, _ = best
-    return np.asarray(v, dtype=float), np.asarray(w, dtype=float), float(lam)
+    return best
 
 
 def illinois_bracket(f, a, b, width):

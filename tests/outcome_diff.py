@@ -4,7 +4,7 @@
     python tests/outcome_diff.py OLD_SRC NEW_SRC --driver-mix 6262 --ops 3276 \\
         --kinds choose_action_3
     python tests/outcome_diff.py OLD_SRC NEW_SRC --driver-mix 5151 --ops 2700 \\
-        --kinds detect_regime_change,cara_compstat
+        --kinds equivalence_report,cara_compstat
 
 OLD_SRC and NEW_SRC are ``src`` directories (say, of a ``git archive`` of
 the parent commit and of the working tree).  Each side runs in its own
@@ -19,13 +19,14 @@ it is the same on both sides and is not asked.
 Beside each op's verdict, a choose_action op records one direct
 ``solve_second_best`` per action (``i/action``) with the ``check_solve``
 verdict of solve_mix, every returned contract records its wages and
-``kkt_certificate``'s stationarity_max, and a detect_regime_change op that
-returned an eps records it.  The report prints every verdict transition,
+``kkt_certificate``'s stationarity_max, a detect_regime_change op that
+returned an eps records it, and an equivalence_report op that returned
+records its m* and iterative cost.  The report prints every verdict transition,
 with stationarity_max before and after when both sides returned a contract,
 the certified count of each side, the largest relative wage move
 max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify, and
-the largest |eps*' - eps*| among the regime detections both sides answer
-with an eps.  Not collected by pytest (no ``test_`` prefix).
+the largest |eps*' - eps*|, |m*' - m*| / |m*| and |cost' - cost| / |cost|
+among the answers both sides give.  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 DRIVER_KINDS = ("choose_action_2", "choose_action_3", "oracle_audit_3", "oracle_audit_4",
-                "detect_regime_change", "cara_compstat")
+                "detect_regime_change", "cara_compstat", "equivalence_report")
 
 
 def _solve_record(checks, bc, inst, target, outcome) -> dict:
@@ -88,6 +89,8 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
             out[str(i)] = {"verdict": "unchecked:" + type(exc).__name__}
         if isinstance(outcome, float):
             out[str(i)]["eps_star"] = outcome
+        if isinstance(outcome, bc.EquivalenceReport):
+            out[str(i)].update(m_star=outcome.m_star, cost=outcome.cost_iterative)
         if case["kind"].startswith("choose_action"):
             inst = case["inst"]
             for act in inst.actions:
@@ -129,12 +132,15 @@ def compare(label: str, old: dict, new: dict) -> None:
                 worst, where = move, key
     print(f"  largest relative wage move among solves both certify: {worst:.3g}"
           + (f" (op {where})" if where else ""))
-    moves = [(abs(new[key]["eps_star"] - old[key]["eps_star"]), key) for key in old
-             if "eps_star" in old[key] and "eps_star" in new[key]]
-    if moves:
-        move, where = max(moves)
-        print(f"  largest eps* move among {len(moves)} detections both sides answer: "
-              f"{move:.3g} (op {where})")
+    for field, what, relative in (("eps_star", "eps*", False), ("m_star", "relative m*", True),
+                                  ("cost", "relative cost", True)):
+        moves = [(abs(new[key][field] - old[key][field])
+                  / ((abs(old[key][field]) or 1.0) if relative else 1.0), key)
+                 for key in old if field in old[key] and field in new[key]]
+        if moves:
+            move, where = max(moves)
+            print(f"  largest {what} move among {len(moves)} answers both sides give: "
+                  f"{move:.3g} (op {where})")
 
 
 def main(argv=None) -> int:

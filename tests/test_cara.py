@@ -84,7 +84,7 @@ class TestSolve:
         assert sol.lam > 0 and sol.mu >= 0
 
     def test_derived_constants_are_built_once_per_system(self, monkeypatch):
-        # the w1 bisection evaluates the pivot gap hundreds of times; the
+        # the w1 root-find evaluates the pivot gap and its slope many times; the
         # belief-derived constants are built once, however many steps it takes
         from beliefcontracts import cara
         built = {"DeltaVector": 0, "kappa": 0}
@@ -101,6 +101,43 @@ class TestSolve:
             built.update(DeltaVector=0, kappa=0)
             bc.solve_system(toy_system(), tol=tol)
             assert built == {"DeltaVector": 1, "kappa": 3}
+
+    def test_pivot_slope_matches_central_differences(self):
+        from beliefcontracts.cara import _pivot_gap, _pivot_slope
+        rng = np.random.default_rng(43)
+        systems = [toy_system()] + [cara_system_draw(rng, require_binding=False)
+                                    for _ in range(10)]
+        h = 1e-6
+        for sys_ in systems:
+            lo, hi = bc.branch_interval(sys_)
+            top = hi if math.isfinite(hi) else lo + 4.0
+            for w1 in lo + (top - lo) * np.linspace(0.02, 0.98, 9):
+                fd = (_pivot_gap(sys_, w1 + h) - _pivot_gap(sys_, w1 - h)) / (2.0 * h)
+                slope = _pivot_slope(sys_, w1)
+                assert slope < 0.0
+                assert slope == pytest.approx(fd, rel=1e-6)
+
+    def test_root_in_few_gap_evaluations_within_tol(self, monkeypatch):
+        # Newton on the closed-form slope, bracket search included: at tol
+        # 1e-12, 7.8 gap evaluations per solve on these draws and at most 17,
+        # where the bisection it replaced took about 40; at every tol, w1
+        # stays within tol * max(1, |w1|) of the root
+        from beliefcontracts import cara
+        gap = cara._pivot_gap
+        calls = []
+        monkeypatch.setattr(cara, "_pivot_gap", lambda *a: calls.append(a[1]) or gap(*a))
+        rng = np.random.default_rng(44)
+        counts = []
+        for _ in range(60):
+            sys_ = cara_system_draw(rng)
+            ref = bc.solve_w1(sys_, tol=1e-15)
+            for tol in (1e-6, 1e-9, 1e-12):
+                calls.clear()
+                w1 = bc.solve_w1(sys_, tol=tol)
+                assert abs(w1 - ref) <= tol * max(1.0, abs(ref))
+            counts.append(len(calls))
+        assert np.mean(counts) <= 8.0
+        assert max(counts) <= 17
 
     def test_matches_numeric_second_best(self):
         rng = np.random.default_rng(41)

@@ -165,6 +165,21 @@ class TestCli:
         code, _ = self.run("solve-second-best", "--problem", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("compstat", "--states", "1,x", "--eps-grid", "0:0.08:3"), "--states"),
+        (("compstat", "--states", "1,2", "--eps-grid", "0:0.1:x"), "--eps-grid"),
+        (("compstat", "--states", "1,2", "--eps-grid", "0:0.1:3.5"), "--eps-grid"),
+        (("mlrp", "--f", "0.1,x,0.6", "--g", "0.6,0.3,0.1"), "--f"),
+        (("mlrp", "--f", "0.1,0.3,0.6", "--g", "0.6,0.3,"), "--g"),
+    ])
+    def test_malformed_number_is_a_parse_error(self, capsys, argv, flag):
+        # an input error (exit 2), not an escaped ValueError read as a solver error
+        if argv[0] == "compstat":
+            argv = argv + ("--problem", str(DATA / "cara_three_state.json"))
+        code, out = self.run(*argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error[ParseError]: {flag}: ")
+
     def test_solver_error_exit_code(self, tmp_path):
         doc = {
             "schema_version": "1",

@@ -181,9 +181,11 @@ class TestOuter:
             assert rep.max_wage_delta <= 1e-6
 
     def test_root_of_the_spread_multiplier_in_few_solves(self, monkeypatch):
-        # G'(m) is the spread multiplier nu: a root-find on it needs few
-        # pinned solves, logs one trace row per solve and leaves the outer
-        # first-order residual (which is nu) at rounding level
+        # G'(m) is the spread multiplier nu: Newton steps on it with the exact
+        # slope nu'(m) need at most 6 pinned solves on these draws (the step
+        # doubling and Illinois search they replaced took 8 to 11), log one
+        # trace row per solve and leave the outer first-order residual (which
+        # is nu) at rounding level
         from beliefcontracts import iterative
         solves = []
         pinned = iterative._pinned_inner
@@ -196,30 +198,39 @@ class TestOuter:
             solves.clear()
             out = bc.outer_minimize(sp)
             assert [row[0] for row in out.trace] == solves
-            assert len(out.trace) <= 20
+            assert len(out.trace) <= 6
             assert abs(out.outer_foc_residual) <= 1e-10
 
     def test_refused_probe_steps_back_toward_the_last_feasible_spread(self, monkeypatch):
-        # pretend the pinned program is infeasible beyond m = 0.6 on a draw
-        # whose optimum (m* ~ 0.51) the doubling search would overshoot
+        # pretend the pinned program is infeasible beyond an edge placed
+        # between m* and the first Newton probe -nu(0) / nu'(0), on the first
+        # seeded draw whose first probe overshoots m*
         from beliefcontracts import iterative
         pinned = iterative._pinned_inner
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            sp = four_state_spread_draw(rng)
+            direct = bc.solve_second_best(sp.base, "H")
+            m_direct = direct.utility_levels[3] - direct.utility_levels[2]
+            start = pinned(sp, 0.0, 1e-9)
+            first_probe = -start.nu / iterative._nu_slope(sp, start)
+            if first_probe > m_direct > 0.0:
+                break
+        else:
+            pytest.fail("no draw whose first Newton probe overshoots m*")
+        edge = 0.5 * (m_direct + first_probe)
         refused = []
 
         def edged(sp, m, tol):
-            if m > 0.6:
+            if m > edge:
                 refused.append(m)
                 raise bc.Infeasible("beyond the test's feasibility edge")
             return pinned(sp, m, tol)
 
-        rng = np.random.default_rng(51)
-        four_state_spread_draw(rng)
-        sp = four_state_spread_draw(rng)
         monkeypatch.setattr(iterative, "_pinned_inner", edged)
         out = bc.outer_minimize(sp)
-        direct = bc.solve_second_best(sp.base, "H")
-        assert refused and 0.5 < out.m_star < 0.6
-        assert max(row[0] for row in out.trace) <= 0.6
+        assert refused and abs(out.m_star - m_direct) <= 1e-9 and out.m_star < edge
+        assert max(row[0] for row in out.trace) <= edge
         assert abs(out.cost_total - direct.expected_cost_principal) <= 1e-12
         assert abs(out.outer_foc_residual) <= 1e-10
 
@@ -270,3 +281,46 @@ class TestOuter:
             g2 = _pinned_inner(sp, float(m2), 1e-9).cost_total
             mid = _pinned_inner(sp, float(0.5 * (m1 + m2)), 1e-9).cost_total
             assert mid <= 0.5 * (g1 + g2) + 1e-10
+
+
+class TestSpreadMultiplierSlope:
+    """nu'(m) = [J^-1]_nu,nu from the pinned solve's own rows, against a
+    central difference of nu across the same working set."""
+
+    H = 1e-5
+
+    def _compare(self, sp, ms):
+        from beliefcontracts.iterative import _nu_slope, _pinned_inner
+        checked = {True: 0, False: 0}
+        for m in ms:
+            try:
+                lo, mid, hi = (_pinned_inner(sp, m + dm, 1e-9) for dm in (-self.H, 0.0, self.H))
+            except bc.BeliefContractsError:
+                continue              # outside the admissible spreads of this draw
+            assert lo.ic_binding is mid.ic_binding is hi.ic_binding
+            fd = (hi.nu - lo.nu) / (2.0 * self.H)
+            assert _nu_slope(sp, mid) == pytest.approx(fd, rel=1e-6)
+            checked[mid.ic_binding] += 1
+        return checked
+
+    def test_binding_incentive_row(self):
+        rng = np.random.default_rng(53)
+        checked = 0
+        for _ in range(6):
+            counts = self._compare(four_state_spread_draw(rng), (-0.2, 0.0, 0.3, 0.8))
+            assert counts[False] == 0
+            checked += counts[True]
+        assert checked >= 18
+
+    def test_slack_incentive_row(self):
+        # a small effort cost leaves the incentive row slack at every spread
+        import dataclasses
+        rng = np.random.default_rng(54)
+        draws = [optimistic_agent_spread()]
+        for _ in range(5):
+            inst = four_state_spread_draw(rng, require_binding=False).base
+            cheap = dataclasses.replace(inst.action("H"), cost=0.02)
+            draws.append(bc.SpreadProblem(
+                dataclasses.replace(inst, actions=(cheap,) + inst.actions[1:]), "H"))
+        for sp in draws:
+            assert self._compare(sp, (0.0, 0.3, 0.8)) == {True: 0, False: 3}

@@ -172,6 +172,35 @@ def test_ir_only_needs_few_residual_evaluations(monkeypatch):
     assert len(calls) <= 8 * len(draws)
 
 
+def test_rtsafe_newton_and_bisection_on_a_falling_function():
+    """The slope is asked once per step and only at points already evaluated;
+    an unusable slope (NaN, or of the wrong sign) falls back to bisection
+    and still stops at the bracket width."""
+    evaluated, asked = [], []
+
+    def point(x):
+        evaluated.append(x)
+        value = 1.0 - x ** 3
+        return x, value, value > 0.0       # lo, at x = 0, lies where value > 0
+
+    def slope(p):
+        asked.append(p[0])
+        return -3.0 * p[0] ** 2
+
+    lo, hi = point(0.0), point(3.0)
+    x, value, _ = kernel.rtsafe(point, slope, lo, hi, lambda x: 1e-15 * x,
+                                lambda a, b: 1e-12)
+    assert abs(x - 1.0) <= 1e-15 and abs(value) <= 4e-16
+    assert set(asked) <= set(evaluated) and len(asked) == len(evaluated) - 1
+    assert len(evaluated) <= 12
+
+    for bad in (lambda p: np.nan, lambda p: 3.0 * p[0] ** 2):
+        evaluated.clear()
+        x, _, _ = kernel.rtsafe(point, bad, point(0.0), point(3.0),
+                                lambda x: 1e-15, lambda a, b: 1e-9)
+        assert abs(x - 1.0) <= 1e-9 and len(evaluated) == 2 + 32
+
+
 def plain_scan(M, theta, step):
     """Positivity part of the line search trying every halving in turn:
     (first admitted k, its alpha), or (50, 2^-50) when every halving fails."""
