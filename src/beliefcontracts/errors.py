@@ -45,10 +45,6 @@ class Unbounded(BeliefContractsError):
     """Cost decreases without bound along the feasible subspace."""
 
 
-class NegativeMultiplier(BeliefContractsError):
-    """Active-set search exhausted without a sign-consistent multiplier vector."""
-
-
 class KKTDegeneracy(BeliefContractsError):
     """A first-order-condition coefficient is non-positive at the candidate, violating interiority."""
 

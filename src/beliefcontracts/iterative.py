@@ -23,8 +23,8 @@ Two inner programs live here:
     nu'(m) follows from the pinned solve's own rows, so the outer step is a
     safeguarded Newton root-find on nu(m), not a search on cost values.
 
-Both run on ``second_best.solve_active_set``, started with the incentive
-constraint binding.
+Both run on ``second_best.solve_dual``, the pinned spread as an equality row
+whose multiplier is free in sign.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .beliefs import (MlrpOrder, ProblemInstance, mlrp_compare,
                       reduce_distribution)
 from .errors import BeliefContractsError, NoBracket, RangeError, ValidationError
 from .kernel import rtsafe
-from .second_best import solve_active_set, solve_second_best
+from .second_best import solve_dual, solve_second_best
 from .utility import UtilityModel
 
 _MAX_WALK = 200
@@ -162,20 +162,17 @@ def _shifted_rhs(sp: SpreadProblem, m: float) -> tuple[float, float]:
 def inner_cost(sp: SpreadProblem, m: float, tol: float = 1e-9) -> InnerSolution:
     """Solve the lumped 3-wage program at spread m.
 
-    Participation binds.  The active-set search starts with the incentive
-    constraint as an equality and drops it if its multiplier turns negative,
-    returning the risk-sharing solution (the constraint then holds with slack).
+    Participation binds; the incentive constraint binds when the
+    risk-sharing contract violates it (``second_best.solve_dual``).
     """
     weights = sp.reduced_delta
     ir_rhs, ic_rhs = _shifted_rhs(sp, m)
-    v, w, theta, active = solve_active_set(
-        weights, [sp.reduced_pi], [ir_rhs], [(sp.reduced_pi - sp.reduced_eta, ic_rhs)],
-        sp.base.utility, tol, start=frozenset({0}))
-    lam, mu = theta if active else (*theta, 0.0)
-    return InnerSolution(m=float(m), cost=float(weights @ w),
-                         wages=tuple(float(x) for x in w),
+    v, w, (lam, mu), active, _, _ = solve_dual(
+        weights, np.vstack([sp.reduced_pi, sp.reduced_pi - sp.reduced_eta]),
+        np.array([ir_rhs, ic_rhs]), 0, sp.base.utility, tol)
+    return InnerSolution(m=float(m), cost=float(weights @ w), wages=tuple(float(x) for x in w),
                          utility_levels=tuple(float(x) for x in v),
-                         lam=float(lam), mu=float(mu), ic_binding=bool(active))
+                         lam=float(lam), mu=float(mu), ic_binding=bool(active[1]))
 
 
 def envelope_derivative(sp: SpreadProblem, inner: InnerSolution) -> float:
@@ -197,15 +194,14 @@ class _PinnedInner:
 
 def _pinned_inner(sp: SpreadProblem, m: float, tol: float) -> _PinnedInner:
     """4-state solve with the spread v_4 - v_3 = m pinned as an equality (the
-    last row), searched from a binding incentive constraint as in ``inner_cost``."""
+    last row)."""
     weights = sp.delta4
-    v, w, theta, active = solve_active_set(
-        weights, [sp.pi4, _SPREAD_ROW], [sp.level, m],
-        [(sp.pi4 - sp.eta4, sp.cost_gap)], sp.base.utility, tol, start=frozenset({0}))
-    lam, mu, nu = theta if active else (theta[0], 0.0, *theta[1:])
+    v, w, (lam, mu, nu), active, _, _ = solve_dual(
+        weights, np.vstack([sp.pi4, sp.pi4 - sp.eta4, _SPREAD_ROW]),
+        np.array([sp.level, sp.cost_gap, m]), 1, sp.base.utility, tol)
     return _PinnedInner(cost_total=float(weights @ w), v=tuple(float(x) for x in v),
                         wages=tuple(float(x) for x in w), lam=float(lam), mu=float(mu),
-                        nu=float(nu), ic_binding=bool(active))
+                        nu=float(nu), ic_binding=bool(active[1]))
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,7 @@ class OuterSolution:
 
 
 def _nu_slope(sp: SpreadProblem, inner: _PinnedInner) -> float:
-    """d nu / dm at a pinned solve, with its working set held fixed.
+    """d nu / dm at a pinned solve, with its active rows held fixed.
 
     Differentiating the stationarity conditions delta_s h'(v_s) = (M^T theta)_s
     and the active rows M v = r in m (only the spread row's level moves) gives

@@ -9,7 +9,7 @@ Two entry points, and two scalar root-finders:
 ``solve_ir_only``
     Risk sharing against a single binding expected-utility constraint: its
     multiplier is bracketed (the constraint residual is strictly increasing
-    in it) and then found by ``rtsafe``.
+    in it) and then found by ``rtsafe``; every second-best solve starts here.
 
 ``rtsafe``
     Newton's method safeguarded by bisection on a sign bracket, for roots
@@ -22,52 +22,29 @@ Two entry points, and two scalar root-finders:
     risk-sharing incentive slack in ``detect_regime_change``).
 
 ``minimize_on_affine``
-    min sum_s weight_s h(v_s)  subject to  M v = r  for a full-row-rank M.
-    A short damped Newton pass on the multiplier system produces a strictly
-    interior start; the minimum is then located by Newton's method in the
-    null space of M (Nocedal & Wright, *Numerical Optimization*, section
-    16.2).  One complete QR factorization M^T = [Y N] [R1; 0] gives an
-    orthonormal basis N of that null space and the particular point
-    v^ = Y R1^-T r, so every iterate v^ + N z satisfies M v = r up to
-    rounding.
+    min sum_s weight_s h(v_s)  subject to  M v = r from a given start, the
+    polish of ``second_best.solve_dual``: Newton's method in the null space
+    of M (Nocedal & Wright, *Numerical Optimization*, section 16.2).  One
+    complete QR factorization M^T = [Y N] [R1; 0] gives an orthonormal basis
+    N of that null space and the particular point v^ = Y R1^-T r, so every
+    iterate v^ + N z satisfies M v = r up to rounding.
 
 Neither takes a tolerance: the cut-offs are fixed.  The risk-sharing
 multiplier search stops when the Newton correction is at most 4 u lam
 (u = 2^-53) or the sign bracket is at most 1e-12 relative wide, the reduced
-Newton at a relative stationarity of 1e-13, and a relative stationarity
-above 1e-9 next to the utility-range boundary is refused as a boundary
-optimum.
+Newton at a relative stationarity of 1e-13; one left above 1e-9 next to the
+utility-range boundary is refused as a boundary optimum, and one above 1e-8
+anywhere else as ill-conditioning.
 
 Every utility evaluation goes through the checked public ``UtilityModel``
-methods, and none is repeated at a point already evaluated: the multiplier
-Newton pass takes the line search's accepted trial point, as evaluated
-there, for its next iterate, and ``solve_ir_only`` keeps the wages of every
-multiplier it tries, returns those of the best one, and takes the marginal
-utility for its Newton slope from the argument of ``inverse_marginal``.
-
-The multiplier line search tries alpha = 2^-k for k = 0, ..., 49 and admits
-a step only where the computed coefficients M^T (theta + alpha step) are all
-positive.  When the full step fails that test, the halvings that provably
-fail it too are skipped instead of tried.  With c = M^T theta and
-d = M^T step as computed, the computed entry s of the trial coefficients
-exceeds c_s + alpha d_s by at most e (a_s + alpha b_s) + t_s, where
-a = |M|^T |theta|, b = |M|^T |step|, e = 4 (m + 2) u for m rows and
-u = 2^-53, and t_s = 4 (3 m + sum_i |M_is|) 2^-1074.  These are over twice
-the (2m + 1) u that the three matrix-vector products and the sum
-theta + alpha step can lose (Higham, *Accuracy and Stability of Numerical
-Algorithms*, section 3.5) and 8 times what underflow can lose; the excess
-covers the rounding of the thresholds that follow.  For each state with
-d_s + e b_s < 0 the computed entry is non-positive at every
-alpha >= (c_s + e a_s + t_s) / -(d_s + e b_s), so the search resumes at the
-first halving below the smallest such threshold.  The exact test still
-decides every halving that is tried, so the accepted step, every iterate
-and every output are bit-identical to trying all halvings in turn.
+methods, and ``solve_ir_only`` keeps the wages of every multiplier it
+tries, returns those of the best one, and takes the marginal utility for
+its Newton slope from the argument of ``inverse_marginal``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, ldexp
 
 import numpy as np
 
@@ -77,9 +54,7 @@ from .utility import UtilityModel
 _MAX_BRACKET = 200
 _MAX_ROOT = 200
 _MAX_NEWTON = 80
-_MAX_HALVINGS = 50
 _UNIT_ROUNDOFF = 2.0 ** -53
-_SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 @dataclass(frozen=True)
@@ -229,7 +204,8 @@ def illinois_bracket(f, a, b, width):
 
 
 def _independent_rows(M: np.ndarray, r: np.ndarray):
-    """Drop linearly dependent rows; raise Infeasible if they are inconsistent."""
+    """Indices of a maximal set of independent rows, in order; Infeasible if a
+    dropped row's level disagrees with the combination it repeats."""
     m, S = M.shape
     keep: list[int] = []
     basis = np.zeros((0, S))
@@ -248,126 +224,29 @@ def _independent_rows(M: np.ndarray, r: np.ndarray):
                 implied = 0.0
             if abs(implied - r[i]) > 1e-9 * max(1.0, abs(r[i])):
                 raise Infeasible("linearly dependent constraints with inconsistent levels")
-    return M[keep], r[keep]
+    return keep
 
 
-def _positive_coefficients(M: np.ndarray, theta: np.ndarray):
-    """M^T theta when every entry is positive, else None.
-
-    The only test that admits a step of the multiplier line search.
-    """
-    coef = M.T @ theta
-    return coef if (coef > 0.0).all() else None
-
-
-def _resume_halving(M: np.ndarray, theta: np.ndarray, step: np.ndarray) -> int:
-    """First halving k >= 1 that the rounding bound does not prove to fail the
-    positivity test at theta + 2^-k step (see the module docstring); every
-    earlier halving fails it in floating point too."""
-    m = M.shape[0]
-    absMT = np.abs(M.T)
-    e = 4.0 * (m + 2) * _UNIT_ROUNDOFF
-    upper = (M.T @ theta + e * (absMT @ np.abs(theta))
-             + 4.0 * (absMT.sum(axis=1) + 3 * m) * _SMALLEST_SUBNORMAL)
-    slope = M.T @ step + e * (absMT @ np.abs(step))
-    falling = slope < 0.0
-    with np.errstate(over="ignore"):      # an infinite threshold proves nothing
-        thresholds = upper[falling] / -slope[falling]
-    alpha_star = np.fmin.reduce(thresholds, initial=np.inf)   # skips a NaN threshold
-    if alpha_star <= 0.0:
-        return _MAX_HALVINGS
-    # 2^(E-1) <= alpha_star < 2^E, so 2^-k >= 2^E > alpha_star for every k < 1 - E
-    return min(_MAX_HALVINGS, max(1, 1 - frexp(alpha_star)[1]))
-
-
-def _dual_start(weights, M, r, model, lam0):
-    """Damped Newton on the multiplier system; returns a strictly interior v.
-
-    v(theta) solves weight_s h'(v_s) = (M^T theta)_s, which keeps every
-    component inside the utility range by construction as long as the
-    coefficients stay positive.
-    """
-    m = M.shape[0]
-    theta = np.zeros(m)
-    theta[0] = lam0
-    best_v, best_res = None, np.inf
-    res_tol = 1e-11 * max(1.0, float(np.abs(r).max()))
-    v = None
-    for _ in range(_MAX_NEWTON):
-        if v is None:
-            coef = M.T @ theta
-            if np.any(coef <= 0.0):
-                raise KKTDegeneracy("non-positive first-order coefficient during multiplier solve")
-            w = model.inverse_marginal(weights / coef)
-            v = np.asarray(model.evaluate(w), dtype=float)
-            g = M @ v - r
-        res = float(np.abs(g).max())
-        if res < best_res:
-            best_v, best_res = v, res
-        if res < res_tol:
-            break
-        curv = 1.0 / (weights * model.inverse_second_derivative(v))
-        J = M @ (curv[:, None] * M.T)
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError:
-            break
-        # an accepted trial point becomes the next iterate as evaluated here
-        k, v = 0, None
-        while k < _MAX_HALVINGS:
-            alpha = ldexp(1.0, -k)
-            coef2 = _positive_coefficients(M, theta + alpha * step)
-            if coef2 is None:
-                k = _resume_halving(M, theta, step) if k == 0 else k + 1
-                continue
-            w2 = model.inverse_marginal(weights / coef2)
-            v2 = np.asarray(model.evaluate(w2), dtype=float)
-            g2 = M @ v2 - r
-            if np.abs(g2).max() < res or alpha < 1e-8:
-                v, g = v2, g2
-                break
-            k += 1
-        theta = theta + ldexp(1.0, -k) * step
-        if np.abs(theta).max() > 1e12:
-            raise Infeasible("multiplier iteration diverged: constraint set is empty "
-                             "or touches the utility-range boundary")
-    if best_v is None:
-        raise Infeasible("could not locate an interior point of the constraint set")
-    return best_v
-
-
-def minimize_on_affine(weights, M, r, model: UtilityModel):
+def minimize_on_affine(weights, M, r, model: UtilityModel, start):
     """Minimize sum weights_s h(v_s) over {v : M v = r} inside the utility range.
 
     Args:
         weights: strictly positive cost weights (the principal's beliefs).
-        M: (m x S) constraint matrix; row 0 must be strictly positive (the
-           participation row), so a starting multiplier exists.
+        M: (m x S) constraint matrix.
         r: right-hand sides.
+        start: a point inside the utility range; its projection onto
+            {M v = r} is the first iterate.
 
     Returns:
         AffineSolution with multipliers theta solving M^T theta = weights*h'(v)
-        in the least-squares sense (exact at an interior optimum).
+        in the least-squares sense (exact at an interior optimum), one per row
+        of M: a linearly dependent row gets 0.
     """
-    weights = np.asarray(weights, dtype=float)
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    r = np.asarray(r, dtype=float)
-    M, r = _independent_rows(M, r)
+    weights, M_all, r = (np.asarray(x, dtype=float) for x in (weights, M, r))
+    keep = _independent_rows(M_all, r)
+    M, r = M_all[keep], r[keep]
     m, S = M.shape
-    if m > S:
-        raise Infeasible(f"{m} independent equality constraints in {S} states")
-    if np.any(M[0] <= 0.0):
-        raise ValueError("minimize_on_affine: row 0 must be strictly positive")
-
     lo, hi = model.utility_range
-    # participation row gives a necessary range condition on a convex combination
-    scale = float(M[0].sum())
-    if not model.contains_utility(r[0] / scale):
-        raise Infeasible(
-            f"participation level {r[0] / scale} outside utility range {model.utility_range}")
-
-    lam0 = float(model.inverse_derivative(r[0] / scale)) / scale
-    v0 = _dual_start(weights, M, r, model, lam0)
 
     # null-space method: M^T = [Y N] [R1; 0] and {v : M v = r} = {vhat + N z}
     Q, R = np.linalg.qr(M.T, mode="complete")
@@ -377,7 +256,7 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
     def in_range(v: np.ndarray) -> bool:
         return bool(np.all(v > lo) and np.all(v < hi))
 
-    z = N.T @ (v0 - vhat)
+    z = N.T @ (np.asarray(start, dtype=float) - vhat)
     v = vhat + N @ z
     if not in_range(v):
         # the interior dual point, projected onto the constraint set, should
@@ -390,21 +269,15 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
         The fit minimizes the per-state relative residual so tiny-target
         states (steep marginal utility) do not drown in the large ones.
         """
-        with np.errstate(over="ignore"):     # an overflow is refused just below
-            hp = np.asarray(model.inverse_derivative(vv), dtype=float)
-        target = weights * hp
-        if not ((target > 0.0) & (target < np.inf)).all():
-            # lstsq would fail or loop forever on the non-finite scaled rows
-            raise KKTDegeneracy(
-                "stationarity scale weight_s h'(v_s) left (0, inf): the first-order "
-                "conditions are conditioned beyond double precision")
-        with np.errstate(over="ignore"):     # an overflow is refused just below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
+            target = weights * np.asarray(model.inverse_derivative(vv), dtype=float)
             scaled = M.T / target[:, None]
-        if not np.isfinite(scaled).all():
-            # a tiny but positive scale overflows the rows; lstsq would never return
+        if not (((target > 0.0) & (target < np.inf)).all() and np.isfinite(scaled).all()):
+            # lstsq would fail, or never return, on non-finite scaled rows
             raise KKTDegeneracy(
-                "scaled stationarity rows M^T / (weight_s h'(v_s)) overflowed: the "
-                "first-order conditions are conditioned beyond double precision")
+                "stationarity scale weight_s h'(v_s) left (0, inf), or the rows M^T / "
+                "(weight_s h'(v_s)) overflowed: the first-order conditions are "
+                "conditioned beyond double precision")
         theta_fit, *_ = np.linalg.lstsq(scaled, np.ones(S), rcond=None)
         resid = target - M.T @ theta_fit
         return theta_fit, resid, float(np.max(np.abs(resid) / target))
@@ -420,17 +293,7 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
             dz = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
             raise KKTDegeneracy("singular reduced Hessian")
-        # largest step keeping v strictly inside the utility range
-        dv = N @ dz
-        alpha = 1.0
-        pos = dv > 0
-        neg = dv < 0
-        if np.isfinite(hi) and np.any(pos):
-            alpha = min(alpha, 0.95 * float(np.min((hi - v[pos]) / dv[pos])))
-        if np.isfinite(lo) and np.any(neg):
-            alpha = min(alpha, 0.95 * float(np.min((lo - v[neg]) / dv[neg])))
-        if alpha <= 0.0:
-            break
+        alpha = 1.0         # halved until the trial is inside the range and better
         improved = False
         for _ in range(60):
             v_new = vhat + N @ (z + alpha * dz)
@@ -459,11 +322,18 @@ def minimize_on_affine(weights, M, r, model: UtilityModel):
             raise KKTDegeneracy(
                 "optimum at the utility-range boundary: interior first-order "
                 "conditions fail (no interior solution exists)")
+        if rel > 1e-8:
+            # not a KKT point at the certificate's default tolerance either
+            raise KKTDegeneracy(
+                f"null-space Newton stopped at a relative stationarity of {rel:.3g}: "
+                "the first-order conditions are conditioned beyond double precision")
 
     wages = np.asarray(model.inverse(v), dtype=float)
+    multipliers = np.zeros(len(M_all))
+    multipliers[keep] = theta
     return AffineSolution(
         v=tuple(float(x) for x in v),
         wages=tuple(float(x) for x in wages),
-        multipliers=tuple(float(x) for x in theta),
+        multipliers=tuple(float(x) for x in multipliers),
         iterations=iterations,
     )

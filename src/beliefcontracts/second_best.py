@@ -7,17 +7,14 @@ space v_s = u(w_s), is
     s.t. sum_s pi^A_s(H) v_s - c(H) >= ubar                    (participation)
          sum_s [pi^A_s(H) - pi^A_s(a')] v_s >= c(H) - c(a')    (one IC per a')
 
-Participation always binds.  The solver first tries the pure risk-sharing
-contract; if some incentive constraint fails, it runs an active-set loop over
-binding constraint subsets, each subproblem solved by equality-constrained
-Newton (see kernel).  The multipliers lam and mu are the ones the final
-working set's solve returns: the risk-sharing multiplier, or the kernel's
-fit of the stationarity conditions on the active rows.  The principal's
-beliefs about non-target actions never enter the contract, only the action
-choice.
-
-``solve_active_set`` is that loop; the spread decomposition's inner programs
-(see iterative) run on it too.
+Participation always binds.  ``solve_dual`` maximizes the program's concave
+dual, one multiplier per constraint, by projected Newton ascent from the pure
+risk-sharing contract, which it returns when no incentive constraint fails
+there.  Dual stationarity is the paper's first-order condition
+delta_s h'(v_s) = lam q_s + sum_i mu_i (q_s - q^i_s), so lam and mu are the
+dual iterate (or a polish's fit, see kernel).  The principal's beliefs about
+non-target actions never enter the contract, only the action choice.  The
+spread decomposition's inner programs (see iterative) run on ``solve_dual``.
 """
 
 from __future__ import annotations
@@ -27,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beliefs import (MlrpOrder, Monotonicity, ProblemInstance, mlrp_compare)
-from .errors import (DimensionError, Infeasible, KKTDegeneracy,
-                     NegativeMultiplier, ValidationError)
+from .errors import (DimensionError, DomainError, Infeasible, KKTDegeneracy,
+                     Unbounded, ValidationError)
 from .first_best import classify_monotonicity, solve_first_best
 from .kernel import minimize_on_affine, solve_ir_only
 
-_MAX_ACTIVE_SET = 100
+_MAX_DUAL = 20
+_EMPTY = "the multipliers certify an empty constraint set (a Farkas certificate)"
 
 
 @dataclass(frozen=True)
@@ -78,73 +76,208 @@ class SecondBestSolution:
 def _ic_rows(inst: ProblemInstance, target: str):
     act = inst.action(target)
     q = act.agent_beliefs.as_array()
-    rows, rhs, names = [], [], []
-    for other in inst.other_actions(target):
-        rows.append(q - other.agent_beliefs.as_array())
-        rhs.append(act.cost - other.cost)
-        names.append(other.name)
-    return q, rows, rhs, names
+    others = inst.other_actions(target)
+    return (q, [q - o.agent_beliefs.as_array() for o in others],
+            [act.cost - o.cost for o in others])
 
 
 def risk_sharing_slack(inst: ProblemInstance, target: str) -> float:
     """Smallest incentive slack of the risk-sharing contract for ``target``.
 
-    This is the contract ``solve_active_set`` solves on its first, empty
-    working set: the same ``solve_ir_only`` call on the same data, and the
-    same slacks that it compares with -tol.  The search starts at the empty
-    set and can never return to it, because the empty set is already in
-    ``seen``.  So wherever ``solve_second_best(inst, target, tol)`` returns
-    without a wage box, its ``coincides_with_first_best`` holds exactly when
-    this slack is not below -tol.
+    This is the contract ``solve_dual`` starts from and returns when no slack
+    is below -tol (the same ``solve_ir_only`` call and the same slacks, row by
+    row); past that test some incentive multiplier stays positive, or v would
+    be this contract.  So wherever ``solve_second_best(inst, target, tol)``
+    returns without a wage box, ``coincides_with_first_best`` holds exactly
+    when this slack is not below -tol.
     """
     act = inst.action(target)
-    q, rows, rhs, _ = _ic_rows(inst, target)
+    q, rows, rhs = _ic_rows(inst, target)
     v, _, _ = solve_ir_only(act.principal_beliefs.as_array(), q, inst.utility,
                             inst.reservation_utility + act.cost)
     return float(min(row @ v - rv for row, rv in zip(rows, rhs)))
 
 
-def solve_active_set(weights, eq_rows, eq_rhs, ineqs, model, tol: float,
-                     start: frozenset[int] = frozenset()):
-    """Minimize sum_s weights_s h(v_s) s.t. eq_rows v = eq_rhs (row 0 is
-    participation) and row v >= rhs for each (row, rhs, ...) in ``ineqs``.
+def solve_dual(weights, M, r, n_eq: int, model, tol: float,
+               wage_box: tuple[float, float] | None = None):
+    """Minimize sum_s weights_s h(v_s) s.t. M_i v >= r_i on the first
+    m - n_eq rows (row 0 is participation), M_i v = r_i on the last n_eq and
+    wages in the box, by projected Newton ascent on the concave dual
+    (Bertsekas, *SIAM J. Control Optim.* 20, 1982).
 
-    Each working set of inequality indices is solved from scratch, its rows
-    stacked as participation, active inequalities by index, eq_rows[1:]; the
-    participation row alone goes to ``solve_ir_only``.  From ``start`` the
-    worst violated inequality (slack < -tol) joins, else the most negative
-    multiplier (< -tol) leaves.  Returns (v, wages, theta, active), theta
-    ordered as the stacked rows; NegativeMultiplier if a working set recurs
-    or 100 were tried.
+    At theta (>= 0 on the inequality rows) state s takes v_s =
+    u((u')^-1(weights_s / c_s)), c = M^T theta, clamped to a box face or
+    finite range end (a trial past an infinite end is rejected), so only
+    M v >= r is iterated, from the risk-sharing multiplier of
+    ``solve_ir_only`` (returned as is when nothing else fails by over tol).
+    A step solves (M_F D M_F^T + tau I) d = grad_F, grad = r - M v,
+    D = 1 / (weights h''(v)) on unclamped states, tau = 1e-10 min(1, |pg|)
+    max diag, off the binding set (theta_i <= eps with grad_i <= 0, or 0 with
+    d_i < 0; there d_i = -theta_i), and halves alpha in P(theta + alpha d)
+    until the dual value rises by Armijo's rule (at its rounding level: until
+    the projected gradient pg shrinks).  It stops at |pg| <= 1e-12 max(1, |r|)
+    with sum |theta pg| <= tol, trying full steps only below that |pg|.
+    Otherwise, after 20 steps, ``minimize_on_affine`` polishes v(theta) on
+    the active rows (clamped states pinned), kept at slacks and multipliers
+    >= -tol; failing that, the iterate stands if |pg| <= tol.  Returns
+    (v, wages, theta, active rows, lower, upper clamped states).
+
+    Infeasible when d = theta or a Newton step, >= 0 on the inequality rows,
+    has d.r > sum_s max(c_s lo, c_s hi), c = M^T d, above the d.r <= c.v of
+    any feasible v (Farkas; Boyd & Vandenberghe, *Convex Optimization*,
+    section 5.8), or at |theta| > 1e12 (divergence).  KKTDegeneracy at a
+    utility-range end or a failed polish.
     """
-    def solve_working_set(active: frozenset[int]):
-        order = sorted(active)
-        if len(eq_rows) == 1 and not order:
-            v, w, lam = solve_ir_only(weights, eq_rows[0], model, eq_rhs[0])
-            return np.asarray(v), np.asarray(w), np.array([lam])
-        M = np.vstack([eq_rows[0]] + [ineqs[i][0] for i in order] + list(eq_rows[1:]))
-        r = np.array([eq_rhs[0]] + [ineqs[i][1] for i in order] + list(eq_rhs[1:]))
-        sol = minimize_on_affine(weights, M, r, model)
-        return np.asarray(sol.v), np.asarray(sol.wages), np.asarray(sol.multipliers)
+    weights = np.asarray(weights, dtype=float)
+    M = np.asarray(M, dtype=float)
+    r = np.asarray(r, dtype=float)
+    m, S = M.shape
+    sign = np.arange(m) < m - n_eq
+    (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
+    if wage_box is not None:
+        if not wage_box[0] < wage_box[1]:
+            raise ValidationError("wage box requires w_min < w_max")
+        if wage_box[0] > w_lo:
+            w_lo, v_lo = wage_box[0], float(model.evaluate(wage_box[0]))
+        if wage_box[1] < w_hi:
+            w_hi, v_hi = wage_box[1], float(model.evaluate(wage_box[1]))
 
-    active = frozenset(start)
-    seen = {active}
-    for _ in range(_MAX_ACTIVE_SET):
-        v, w, theta = solve_working_set(active)
-        slacks = [row @ v - rv for row, rv, *_ in ineqs]
-        violated = [i for i in range(len(ineqs)) if i not in active and slacks[i] < -tol]
-        if violated:
-            active = active | {min(violated, key=lambda i: slacks[i])}
+    v, w, lam = solve_ir_only(weights, M[0], model, r[0])
+    theta = np.zeros(m)
+    theta[0] = lam
+    inside = bool(((w > w_lo) & (w < w_hi)).all())
+    if n_eq == 0 and inside and all(row @ v - rv >= -tol for row, rv in zip(M[1:], r[1:])):
+        return v, w, theta, np.arange(m) == 0, (), ()
+
+    abs_MT = np.abs(M.T)
+    floor = np.where(sign, 0.0, -np.inf)     # theta >= 0 on the inequality rows
+    r_scale = max(1.0, float(np.abs(r).max()))
+
+    def point(theta):
+        """(theta, w, v, low, high, grad, dual value), or None past an infinite end."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            marg = weights / (M.T @ theta)
+            ok = (marg > 0.0) & (marg < np.inf)
+            w = model.inverse_marginal(marg) if ok.all() else np.where(
+                ok, model.inverse_marginal(np.where(ok, marg, 1.0)), w_lo)
+            low, high = ~ok | (w <= w_lo), w >= w_hi
+            clamped = low | high
+            if not clamped.any():
+                v = model.evaluate(w)
+            elif (low.any() and v_lo == -np.inf) or (high.any() and v_hi == np.inf):
+                return None
+            else:
+                w[low], w[high] = w_lo, w_hi
+                v = np.where(low, v_lo, v_hi)
+                v[~clamped] = model.evaluate(w[~clamped])
+            if not np.isfinite(v).all():
+                return None
+        grad = r - M @ v
+        return theta, w, v, low, high, grad, float(weights @ w + theta @ grad)
+
+    def certifies(d) -> bool:
+        """The Farkas test above; entries of c within rounding of 0 count as 0."""
+        if (v_lo <= 0.0 <= v_hi and d @ r <= 0.0) or (d[sign] < 0.0).any():
+            return False
+        c = M.T @ d
+        c[np.abs(c) <= 1e-12 * (abs_MT @ np.abs(d))] = 0.0
+        if (v_hi == np.inf and (c > 0.0).any()) or (v_lo == -np.inf and (c < 0.0).any()):
+            return False        # the bound is +inf
+        with np.errstate(invalid="ignore"):     # 0 * inf is NaN, read as 0
+            bound = float(np.nansum(np.fmax(c * v_lo, c * v_hi)))
+        return float(d @ r) - bound > 1e-12 * (np.abs(d) @ np.abs(r) + abs(bound))
+
+    def projected(cur):
+        theta, grad = cur[0], cur[5]
+        return np.where(sign & (theta <= 0.0) & (grad <= 0.0), 0.0, grad)
+
+    if inside:      # v(theta) is the risk-sharing contract, as solve_ir_only evaluated it
+        grad = r - M @ v
+        no = np.zeros(S, bool)
+        cur = (theta, w, v, no, no, grad, float(weights @ w + theta @ grad))
+    else:           # some wage clamped at a box face, so never None
+        cur = point(theta)
+    for step in range(_MAX_DUAL + 1):
+        theta, w, v, low, high, grad, value = cur
+        pg = projected(cur)
+        pg_norm = float(np.abs(pg).max())
+        # large multipliers can leave theta_i * slack_i above tol: full steps go on
+        small = pg_norm <= 1e-12 * r_scale
+        converged = small and float(np.abs(theta) @ np.abs(pg)) <= tol
+        if converged or step == _MAX_DUAL:
+            break
+        if np.abs(theta).max() > 1e12:
+            raise Infeasible("multiplier iteration diverged: constraint set is empty "
+                             "or touches the utility-range boundary")
+        if v_hi < np.inf and certifies(theta):     # else c > 0 makes its bound +inf
+            raise Infeasible(_EMPTY)
+        free = ~(low | high)
+        Mf = M[:, free]
+        J = (Mf / (weights[free] * model.inverse_second_derivative(v[free]))) @ Mf.T
+        binding = sign & (theta <= min(1e-3, pg_norm)) & (grad <= 0.0)
+        try:
+            while True:     # a row at 0 that the step would push below joins the binding set
+                rows = ~binding
+                H = J[rows][:, rows]
+                H.flat[::len(H) + 1] += 1e-10 * min(1.0, pg_norm) * H.diagonal().max(initial=0.0)
+                d = np.where(binding, -theta, 0.0)      # a continuous path to 0
+                d[rows] = np.linalg.solve(H, grad[rows])
+                out = rows & sign & (theta <= 0.0) & (d < 0.0)
+                if not out.any():
+                    break
+                binding |= out
+        except np.linalg.LinAlgError:
+            break
+        if v_hi == np.inf and certifies(d):        # the ray theta may never show
+            raise Infeasible(_EMPTY)
+        alpha = 1.0
+        for _ in range(1 if small else 60):
+            trial = np.maximum(theta + alpha * d, floor)
+            nxt = point(trial)
+            if nxt is not None:
+                # Armijo, or at the dual value's rounding level a smaller |pg|
+                gain = nxt[6] - value
+                if gain >= 1e-4 * float(grad @ (trial - theta)) or (
+                        gain >= -1e-14 * (weights @ np.abs(w) + np.abs(theta) @ (
+                            np.abs(r) + abs_MT.T @ np.abs(v)))
+                        and np.abs(projected(nxt)).max() < pg_norm):
+                    break
+            alpha *= 0.5
         else:
-            mult = dict(zip(sorted(active), theta[1:]))
-            negative = [i for i in active if mult[i] < -tol]
-            if not negative:
-                return v, w, theta, active
-            active = active - {min(negative, key=lambda i: mult[i])}
-        if active in seen:
-            raise NegativeMultiplier("active-set search revisited a working set")
-        seen.add(active)
-    raise NegativeMultiplier("active-set search did not settle on a binding pattern")
+            break
+        cur = nxt
+
+    theta, w, v, low, high, _, _ = cur
+    d_lo, d_hi = model.wage_domain
+    if (low.any() and w_lo == d_lo) or (high.any() and w_hi == d_hi):
+        raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
+                            "conditions fail (no interior solution exists)")
+    clamped = (tuple(np.flatnonzero(low)), tuple(np.flatnonzero(high)))
+    active = ~sign | (theta > 0.0)
+    active[0] = True
+    if converged:
+        return v, w, theta, active, *clamped
+
+    pins = np.flatnonzero(low | high)
+    try:
+        sol = minimize_on_affine(weights, np.vstack([M[active], np.eye(S)[pins]]),
+                                 np.r_[r[active], v[pins]], model, v)
+        v_p, theta_p = np.asarray(sol.v), np.zeros(m)
+        theta_p[active] = sol.multipliers[:int(active.sum())]
+        if ((M @ v_p - r)[sign] < -tol).any() or (theta_p[sign] < -tol).any() \
+                or (v_p < v_lo - tol).any() or (v_p > v_hi + tol).any():
+            raise KKTDegeneracy("dual ascent stalled, and the polish on its active rows "
+                                "left a slack or a multiplier below -tol")
+        return v_p, np.asarray(sol.wages), theta_p, active, *clamped
+    except (Infeasible, Unbounded, KKTDegeneracy) as exc:
+        # the stalled iterate is exactly stationary: it stands if it is also
+        # feasible to within tol (rounding in theta can leave |pg| there)
+        if pg_norm > tol:
+            if isinstance(exc, KKTDegeneracy):
+                raise
+            # not a certificate: the active rows are a guess
+            raise KKTDegeneracy(f"dual ascent stalled, and its active rows failed: {exc}") from None
+    return v, w, theta, active, *clamped
 
 
 def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
@@ -160,7 +293,7 @@ def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
             applied silently.
 
     Raises:
-        Infeasible, Unbounded, NegativeMultiplier, KKTDegeneracy: see errors.
+        Infeasible, Unbounded, KKTDegeneracy: see errors and ``solve_dual``.
     """
     inst.require_positive_beliefs()
     if len(inst.actions) < 2:
@@ -169,65 +302,36 @@ def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
     model = inst.utility
     delta = act.principal_beliefs.as_array()
     level = inst.reservation_utility + act.cost
-    q, ic_rows, ic_rhs, ic_names = _ic_rows(inst, target)
-    S = inst.n_states
-
-    # inequality pool: incentive constraints, then wage-box faces (in v-space)
-    ineqs: list[tuple[np.ndarray, float, str, object]] = [
-        (row, rv, "ic", name) for row, rv, name in zip(ic_rows, ic_rhs, ic_names)]
-    if wage_box is not None:
-        w_lo, w_hi = wage_box
-        if not w_lo < w_hi:
-            raise ValidationError("wage box requires w_min < w_max")
-        v_lo = float(model.evaluate(w_lo))
-        v_hi = float(model.evaluate(w_hi))
-        for s in range(S):
-            e = np.zeros(S)
-            e[s] = 1.0
-            ineqs.append((e, v_lo, "lo", s))          # v_s >= v_lo
-            ineqs.append((-e, -v_hi, "hi", s))        # -v_s >= -v_hi
-    v, w, theta, active = solve_active_set(delta, [q], [level], ineqs, model, tol)
-
-    active_sorted = sorted(active)
-    active_ics = [i for i in active_sorted if ineqs[i][2] == "ic"]
-    pins = [i for i in active_sorted if ineqs[i][2] != "ic"]
+    q, ic_rows, ic_rhs = _ic_rows(inst, target)
+    M = np.vstack([q] + ic_rows)
+    v, w, theta, active, lower, upper = solve_dual(
+        delta, M, np.array([level] + ic_rhs), 0, model, tol, wage_box)
     lam = float(theta[0])
-    mult = dict(zip(active_sorted, theta[1:]))
-
     if lam <= 0.0:
         raise KKTDegeneracy(f"participation multiplier came out non-positive ({lam})")
 
-    mu = tuple(float(mult.get(i, 0.0)) for i in range(len(ic_rows)))
     ic_slacks = tuple(float(row @ v - rv) for row, rv in zip(ic_rows, ic_rhs))
-
-    coef = lam * q
-    for i, m in enumerate(mu):
-        coef = coef + m * ic_rows[i]
-    uprime = np.asarray(model.marginal(w), dtype=float)
-    foc = (delta - coef * uprime) / delta
-
-    lower_states = tuple(ineqs[i][3] for i in pins if ineqs[i][2] == "lo")
-    upper_states = tuple(ineqs[i][3] for i in pins if ineqs[i][2] == "hi")
+    foc = (delta - (theta @ M) * np.asarray(model.marginal(w), dtype=float)) / delta
 
     return SecondBestSolution(
         target=target,
         wages=tuple(float(x) for x in w),
         utility_levels=tuple(float(x) for x in v),
         lam=lam,
-        mu=mu,
+        mu=tuple(float(x) for x in theta[1:]),
         ic_slacks=ic_slacks,
         ir_residual=float(q @ v) - level,
         expected_cost_principal=float(delta @ w),
-        coincides_with_first_best=not active_ics,
+        coincides_with_first_best=not active[1:].any(),
         foc_residuals=tuple(float(x) for x in foc),
-        lower_bound_states=lower_states,
-        upper_bound_states=upper_states,
+        lower_bound_states=tuple(int(s) for s in lower),
+        upper_bound_states=tuple(int(s) for s in upper),
     )
 
 
 @dataclass(frozen=True)
 class KktReport:
-    """Karush-Kuhn-Tucker certificate for a returned second-best solution."""
+    """KKT certificate of a second-best solution (``passed`` ignores the gap)."""
 
     stationarity_max: float
     ir_abs: float
@@ -235,12 +339,35 @@ class KktReport:
     min_mu: float
     max_complementarity: float
     passed: bool
+    duality_gap: float
+
+
+def dual_value(inst: ProblemInstance, target: str, lam: float, mu) -> float:
+    """The Lagrange dual g(lam, mu) = theta . r + sum_s min_v [delta_s h(v) - c_s v],
+    c = M^T theta: a lower bound on the optimal cost for theta >= 0 (Boyd &
+    Vandenberghe, *Convex Optimization*, section 5.2), from the utility closed
+    forms alone; -inf (trivial) unless every delta_s / c_s is positive and finite.
+    """
+    act = inst.action(target)
+    delta = act.principal_beliefs.as_array()
+    q, rows, rhs = _ic_rows(inst, target)
+    theta = np.array([lam, *mu], dtype=float)
+    c = theta @ np.vstack([q] + rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        marg = delta / c
+        if not ((marg > 0.0) & (marg < np.inf)).all():
+            return -np.inf
+        w = np.asarray(inst.utility.inverse_marginal(marg), dtype=float)
+        v = np.asarray(inst.utility.evaluate(w), dtype=float)
+    return float(theta @ np.array([inst.reservation_utility + act.cost] + rhs)
+                 + delta @ w - c @ v)
 
 
 def kkt_certificate(inst: ProblemInstance, target: str, sol: SecondBestSolution,
                     tol: float = 1e-8) -> KktReport:
     """Check stationarity, feasibility, dual feasibility and complementary
-    slackness of ``sol`` at tolerance ``tol`` (wage-box-free solutions)."""
+    slackness of ``sol`` at tolerance ``tol`` (wage-box-free solutions), and
+    report the duality gap cost - g(lam, mu) (see ``dual_value``)."""
     free = [s for s in range(inst.n_states)
             if s not in sol.lower_bound_states and s not in sol.upper_bound_states]
     stat = max(abs(sol.foc_residuals[s]) for s in free)
@@ -250,7 +377,11 @@ def kkt_certificate(inst: ProblemInstance, target: str, sol: SecondBestSolution,
     comp = max((abs(m * s) for m, s in zip(sol.mu, sol.ic_slacks)), default=0.0)
     passed = (stat <= tol and ir <= tol and min_slack >= -tol
               and min_mu >= -tol and comp <= tol)
-    return KktReport(stat, ir, min_slack, min_mu, comp, passed)
+    try:
+        gap = sol.expected_cost_principal - dual_value(inst, target, sol.lam, sol.mu)
+    except DomainError:     # a wage outside the closed forms' domain
+        gap = np.nan
+    return KktReport(stat, ir, min_slack, min_mu, comp, passed, gap)
 
 
 @dataclass(frozen=True)

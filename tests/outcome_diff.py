@@ -12,9 +12,10 @@ subprocess with its tree first on ``sys.path``; both build their inputs with
 ``bench/workloads.py``, run the ops as ``bench/run.py``'s workload classes do
 and take their verdicts from ``bench/checks.py``, all read from this
 checkout.  Ops are 0 .. OPS-1 of each seed: every solve_mix op, and the
-driver_mix ops whose kind is in ``--kinds``.  An Infeasible solve reads
-``infeasible_unverified``: the LP reference depends on the problem only, so
-it is the same on both sides and is not asked.
+driver_mix ops whose kind is in ``--kinds``.  A solve that raised
+Infeasible is judged by ``bench/lpref.interior_feasible`` on its problem
+document, so a transition into or out of Infeasible reads
+``infeasible_confirmed`` or ``Infeasible_but_lp_feasible``.
 
 Beside each op's verdict, a choose_action op records one direct
 ``solve_second_best`` per action (``i/action``) with the ``check_solve``
@@ -46,9 +47,13 @@ DRIVER_KINDS = ("choose_action_2", "choose_action_3", "oracle_audit_3", "oracle_
                 "detect_regime_change", "cara_compstat", "equivalence_report")
 
 
-def _solve_record(checks, bc, inst, target, outcome) -> dict:
-    """Verdict of one second-best solve, with its wages and stationarity."""
-    rec = {"verdict": checks.check_solve(inst, target, outcome, lp_feasible=None)}
+def _solve_record(checks, bc, doc, inst, target, outcome) -> dict:
+    """Verdict of one second-best solve, with its wages and stationarity; an
+    Infeasible is judged by the strict-interior LP on ``doc``."""
+    import lpref
+
+    lp = lpref.interior_feasible(doc, target) if isinstance(outcome, bc.Infeasible) else None
+    rec = {"verdict": checks.check_solve(inst, target, outcome, lp_feasible=lp)}
     if isinstance(outcome, bc.SecondBestSolution):
         rec["wages"] = list(outcome.wages)
         rec["stationarity_max"] = bc.kkt_certificate(inst, target, outcome).stationarity_max
@@ -74,8 +79,8 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
         wl = run.SolveMix(seed)
         for i in range(ops):
             case = wl.case(i)
-            out[str(i)] = _solve_record(checks, bc, case["inst"], case["target"],
-                                        _attempt(wl.op, case))
+            out[str(i)] = _solve_record(checks, bc, W.solve_mix_doc(seed, i), case["inst"],
+                                        case["target"], _attempt(wl.op, case))
         return out
     wl = run.DriverMix(seed)
     for i in range(ops):
@@ -95,7 +100,8 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
             inst = case["inst"]
             for act in inst.actions:
                 sol = _attempt(bc.solve_second_best, inst, act.name)
-                out[f"{i}/{act.name}"] = _solve_record(checks, bc, inst, act.name, sol)
+                out[f"{i}/{act.name}"] = _solve_record(checks, bc, case["problem"], inst,
+                                                       act.name, sol)
     return out
 
 

@@ -144,34 +144,42 @@ class TestSolveSecondBest:
         with pytest.raises(bc.KKTDegeneracy, match="stationarity scale"):
             bc.solve_second_best(inst, "a1")
 
-    @pytest.mark.parametrize("name, target, boxed", [
-        ("log_overflow_warning.json", "a3", False),
-        ("log_overflow_wage_box.json", "a4", True),
-    ])
-    def test_overflowing_first_order_scale_is_refused_without_a_warning(
-            self, name, target, boxed):
-        # weight_s h'(v_s) = weight_s exp(v_s) overflows to inf on these log
-        # draws (the second only inside a wage box cut from its free wages);
-        # the refusal is the only signal, no numpy RuntimeWarning leaks
-        inst = bc.load_problem(DATA / name)
-        box = None
-        if boxed:
-            free = bc.solve_second_best(inst, target)
-            lo, hi = min(free.wages), max(free.wages)
-            box = (lo + 0.3 * (hi - lo), hi + 1.0)
-        message = ("stationarity scale weight_s h'(v_s) left (0, inf): the first-order "
-                   "conditions are conditioned beyond double precision")
+    def test_log_draw_that_overflowed_the_first_order_scale_is_certified(self):
+        # weight_s h'(v_s) = weight_s exp(v_s) overflowed to inf in the null-space
+        # Newton on this log draw, which was refused; the dual ascent reaches
+        # the optimum (an LP finds the program strictly feasible), and no numpy
+        # RuntimeWarning leaks on the way
+        inst = bc.load_problem(DATA / "log_overflow_warning.json")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(bc.KKTDegeneracy) as refused:
-                bc.solve_second_best(inst, target, wage_box=box)
-        assert str(refused.value) == message
+            sol = bc.solve_second_best(inst, "a3")
+        assert sol.expected_cost_principal == pytest.approx(30.9370594355, rel=1e-9)
+        assert bc.kkt_certificate(inst, "a3", sol, tol=1e-8).passed
+
+    def test_wage_box_without_a_contract_is_infeasible_without_a_warning(self):
+        # the box is cut from the free wages of this log draw; an LP finds no
+        # point of the program inside it, and the dual multipliers certify that
+        inst = bc.load_problem(DATA / "log_overflow_wage_box.json")
+        free = bc.solve_second_best(inst, "a4")
+        lo, hi = min(free.wages), max(free.wages)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bc.Infeasible, match="the multipliers certify"):
+                bc.solve_second_best(inst, "a4", wage_box=(lo + 0.3 * (hi - lo), hi + 1.0))
+
+    def test_sqrt_optimum_at_the_utility_floor_is_refused(self):
+        # the multipliers of this sqrt draw push a wage to the floor w = 0 (the
+        # limited-liability corner): refused as a boundary optimum
+        inst = bc.load_problem(DATA / "sqrt_dual_stall.json")
+        with pytest.raises(bc.KKTDegeneracy, match="optimum at the utility-range boundary"):
+            bc.solve_second_best(inst, "a3")
 
     def test_overflowing_stationarity_rows_are_refused_before_lstsq(self):
         # weight_s h'(v_s) stays positive and finite inside this wage box but is
-        # so small that M^T / (weight_s h'(v_s)) overflows; lstsq then printed a
+        # so small that M^T / (weight_s h'(v_s)) overflowed; lstsq then printed a
         # LAPACK DLASCL error and never returned, so the solve runs in a child
-        # that is killed if it hangs
+        # that is killed if it hangs.  An LP finds no point of the program in
+        # the box, and the dual multipliers now certify that before any lstsq
         script = (
             "import sys\n"
             "import beliefcontracts as bc\n"
@@ -190,7 +198,7 @@ class TestSolveSecondBest:
              str(DATA / "log_lstsq_hang_wage_box.json")],
             capture_output=True, text=True, env=env, timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("KKTDegeneracy: scaled stationarity rows")
+        assert proc.stdout.startswith("Infeasible: the multipliers certify")
         assert "RuntimeWarning" not in proc.stderr
         assert "DLASCL" not in proc.stderr
 
@@ -212,6 +220,64 @@ class TestSolveSecondBest:
         free = bc.solve_second_best(inst, "H")
         with pytest.raises(bc.Infeasible):
             bc.solve_second_best(inst, "H", wage_box=(1e-3, free.wages[1] - 1.0))
+
+
+class TestThreeActionFixtures:
+    """H of ``choose_action_3`` draws (driver_mix seed 424243) that a
+    working-set search refused although an LP finds them strictly feasible:
+    op 5 (S = 2, three rows in two states, "inconsistent levels"), op 149
+    (S = 3, "meets the utility range at its boundary") and op 176 (S = 3,
+    "multiplier iteration diverged").  Reference costs are SLSQP minima
+    (scipy, ftol 1e-15, in promised utility); the dual value at the returned
+    multipliers matches each to a gap of at most 2e-15."""
+
+    @pytest.mark.parametrize("name, cost", [
+        ("cara_choose3_dependent_rows.json", -1.135308318204435),
+        ("crra_choose3_range_exit.json", 0.6559647075656659),
+        ("cara_choose3_diverged.json", -1.0012676120871988),
+    ])
+    def test_certified_at_the_reference_cost(self, name, cost):
+        inst = bc.load_problem(DATA / name)
+        sol = bc.solve_second_best(inst, "H")
+        report = bc.kkt_certificate(inst, "H", sol, tol=1e-8)
+        assert report.passed
+        assert sol.expected_cost_principal == pytest.approx(cost, rel=1e-9, abs=0.0)
+        assert abs(report.duality_gap) <= 1e-12 * abs(cost)
+
+    def test_lp_infeasible_draw_is_infeasible(self):
+        # op 14: the LP finds no strictly feasible point; refused with
+        # KKTDegeneracy by the working-set search
+        inst = bc.load_problem(DATA / "cara_choose3_infeasible.json")
+        with pytest.raises(bc.Infeasible, match="the multipliers certify"):
+            bc.solve_second_best(inst, "H")
+
+
+def test_duality_gap_certifies_a_log_contract_its_residuals_do_not():
+    # driver_mix seed 9109 op 2156, H: a working set whose solve never became
+    # stationary returned lam = 1.3e-268 and wages up to 4.8e278.  The cost is
+    # the SLSQP minimum 4.248758307940313 (scipy, ftol 1e-15); the stationarity
+    # residual stays near 1.5e-8 in the state paid 1.1e-8, so the certificate
+    # does not pass, but the contract is feasible and the duality gap is at
+    # rounding level
+    inst = bc.load_problem(DATA / "log_unstationary_working_set.json")
+    sol = bc.solve_second_best(inst, "H")
+    report = bc.kkt_certificate(inst, "H", sol, tol=1e-8)
+    assert sol.expected_cost_principal == pytest.approx(4.248758307940313, rel=1e-9, abs=0.0)
+    assert report.ir_abs <= 1e-12 and report.min_ic_slack >= -1e-12
+    assert abs(report.duality_gap) <= 1e-13
+
+
+def test_duality_gap_is_small_on_certified_contracts():
+    # the dual ascent stops at a constraint residual of 1e-12 max(1, |r|), so
+    # the gap cost - g, which includes theta . (r - M v), is a few times
+    # 1e-12 relative at most
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        inst = two_action_instance(rng, int(rng.integers(2, 6)), chain=False)
+        sol = bc.solve_second_best(inst, "H")
+        report = bc.kkt_certificate(inst, "H", sol, tol=1e-8)
+        assert report.passed
+        assert abs(report.duality_gap) <= 1e-10 * max(1.0, abs(sol.expected_cost_principal))
 
 
 def many_action_draw(k: int):
