@@ -9,7 +9,8 @@ scalar equation in the low-state wage w_1:
 
 together with the pivot equation ("the scalar equation") built from the
 state-2 first-order condition, whose root ``solve_w1`` finds by safeguarded
-Newton steps on its closed-form slope.  Risk aversion is fixed at r = 1;
+Newton steps on its closed-form slope, between the ends of the branch on
+which both eliminations are defined.  Risk aversion is fixed at r = 1;
 rescale the money unit (w -> r*w, ubar and c unchanged in utils) to cover
 general r.
 
@@ -141,93 +142,69 @@ def branch_interval(sys: CaraSystem) -> tuple[float, float]:
 
 
 def _pivot_gap(sys: CaraSystem, w1: float) -> float:
-    """LHS minus RHS of the scalar pivot equation; positive near the branch floor."""
-    d = sys.delta.values
-    p = sys.principal.probs
-    g2 = sys.gamma2
-    lhs = p[1] * (1.0 - g2)
-    e_w3 = sys.kappa32 / (sys.kappa21 * math.exp(-w1) - sys.r2)
-    e_neg_w2 = (sys.r3 - sys.kappa31 * math.exp(-w1)) / sys.kappa32
-    rhs = (p[0] * math.exp(w1) * (g2 + d[1] / d[0]) + p[2] * g2 * e_w3) * e_neg_w2
-    return lhs - rhs
+    """LHS minus RHS of the scalar pivot equation times D3 = kappa21 e^-w1 - r2
+    = kappa32 e^-w3 > 0, which removes the pole at the upper branch end:
 
+        p1 (1 - gamma2) D3 - (p0 a (kappa21 - r2 e^w1) + p2 gamma2 kappa32) e^-w2
 
-def _pivot_slope(sys: CaraSystem, w1: float) -> float:
-    """d/dw1 of ``_pivot_gap``: minus the derivative of its right-hand side.
-
-    The right-hand side is P(w1) e^-w2 with P = p0 e^w1 (gamma2 + Delta_1 /
-    Delta_0) + p2 gamma2 e^w3.  On the branch d(e^w3)/dw1 = e^w3 kappa21
-    e^-w1 / (kappa21 e^-w1 - r2) and d(e^-w2)/dw1 = kappa31 e^-w1 / kappa32;
-    every factor is positive, so the slope is negative and the gap falls
-    strictly.
+    with a = gamma2 + Delta_1 / Delta_0 and e^-w2 = (r3 - kappa31 e^-w1) /
+    kappa32.  At the branch floor (e^-w2 = 0) it is p1 (1 - gamma2) D3 > 0, at
+    a finite upper end (D3 = 0) -p2 gamma2 (r3 - kappa31 e^-w1) < 0.
     """
     d = sys.delta.values
     p = sys.principal.probs
     g2 = sys.gamma2
-    x1 = math.exp(-w1)
-    denom3 = sys.kappa21 * x1 - sys.r2
-    e_w3 = sys.kappa32 / denom3
+    x1, r2_e_w1 = math.exp(-w1), sys.r2 * math.exp(w1)
     e_neg_w2 = (sys.r3 - sys.kappa31 * x1) / sys.kappa32
-    low = p[0] * math.exp(w1) * (g2 + d[1] / d[0])
-    top = p[2] * g2 * e_w3
-    return -((low + top * sys.kappa21 * x1 / denom3) * e_neg_w2
-             + (low + top) * sys.kappa31 * x1 / sys.kappa32)
+    rhs = p[0] * (g2 + d[1] / d[0]) * (sys.kappa21 - r2_e_w1) + p[2] * g2 * sys.kappa32
+    return p[1] * (1.0 - g2) * (sys.kappa21 * x1 - sys.r2) - rhs * e_neg_w2
+
+
+def _pivot_slope(sys: CaraSystem, w1: float) -> float:
+    """d/dw1 of ``_pivot_gap`` from dD3/dw1 = -kappa21 e^-w1, d(e^-w2)/dw1 =
+    kappa31 e^-w1 / kappa32 and d(kappa21 - r2 e^w1)/dw1 = -r2 e^w1: negative
+    wherever the gap is positive (past the root the falling D3 can turn it)."""
+    d = sys.delta.values
+    p = sys.principal.probs
+    g2 = sys.gamma2
+    x1, r2_e_w1 = math.exp(-w1), sys.r2 * math.exp(w1)
+    e_neg_w2 = (sys.r3 - sys.kappa31 * x1) / sys.kappa32
+    low = p[0] * (g2 + d[1] / d[0])
+    rhs = low * (sys.kappa21 - r2_e_w1) + p[2] * g2 * sys.kappa32
+    return (low * r2_e_w1 * e_neg_w2 - p[1] * (1.0 - g2) * sys.kappa21 * x1
+            - rhs * sys.kappa31 * x1 / sys.kappa32)
 
 
 def solve_w1(sys: CaraSystem, tol: float = 1e-12) -> float:
     """Root of the scalar pivot equation on the admissible branch.
 
-    The gap is positive at the branch floor and falls strictly to -inf at the
-    other end.  A sign bracket is found next to the floor and next to the
-    other end (or, on an unbounded branch, by doubling away from the floor);
-    the root is then found by Newton steps on the closed-form slope
-    ``_pivot_slope``, safeguarded by bisection (``kernel.rtsafe``).  It stops
-    when the Newton correction is at most tol/2 * max(1, |w1|) or the bracket
-    is at most tol * max(1, |w1|) wide, and returns the evaluated w1 with the
-    smallest |gap|.
+    ``_pivot_gap`` is positive at the branch floor and negative at a finite
+    upper end, so ``branch_interval`` is the sign bracket; on an unbounded
+    branch (r2 <= 0) doubling steps from the floor find the negative end.
+    ``kernel.rtsafe`` then takes Newton steps on ``_pivot_slope`` until the
+    correction is at most tol/2 * max(1, |w1|) or the bracket at most
+    tol * max(1, |w1|) wide, and returns the evaluated w1 with the smallest
+    |gap|.  NoRootInBranch when rounding leaves an end on the wrong side.
     """
     def point(w1: float):
         gap = _pivot_gap(sys, w1)
         return w1, gap, gap > 0.0
 
     lo, hi = branch_interval(sys)
-    width = (hi - lo) if math.isfinite(hi) else 1.0
-    margin = 1e-8 * max(1.0, width)
-    for _ in range(60):
-        cand = lo + margin
-        if not math.isfinite(hi) or cand < hi:
-            a = point(cand)
-            if a[2]:
-                break
-        margin *= 0.5
-    else:
-        raise NoRootInBranch("pivot equation not positive anywhere near the branch floor")
-
+    a = point(lo)
     if math.isfinite(hi):
-        b = None
-        margin = 1e-8 * width
-        for _ in range(60):
-            cand = hi - margin
-            if cand > a[0]:
-                end = point(cand)
-                if end[1] < 0.0:
-                    b = end
-                    break
-            margin *= 2.0
-            if hi - margin <= a[0]:
-                break
-        if b is None:
-            raise NoRootInBranch("pivot equation does not change sign on the branch")
+        b = point(hi)
     else:
         step = 1.0
         for _ in range(_MAX_EXPAND):
-            b = point(a[0] + step)
+            b = point(lo + step)
             if b[1] < 0.0:
                 break
-            step *= 2.0
+            a, step = b, 2.0 * step
         else:
             raise NoRootInBranch("pivot equation never becomes negative")
-
+    if not (a[2] and b[1] < 0.0):
+        raise NoRootInBranch("pivot equation does not change sign on the branch")
     return rtsafe(point, lambda cur: _pivot_slope(sys, cur[0]), a, b,
                   lambda x: 0.5 * tol * max(1.0, abs(x)),
                   lambda x, y: tol * max(1.0, abs(y)))[0]

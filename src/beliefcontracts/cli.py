@@ -94,11 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, action_flag=True):
+    def add_common(p, action_flag=True, tol_flag=True):
         p.add_argument("--problem", required=True, help="path to a problem JSON file")
         if action_flag:
             p.add_argument("--action", help="action name (default: highest-cost)")
-        p.add_argument("--tol", type=float, default=1e-9)
+        if tol_flag:        # only where the command passes it on
+            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", help="write the artifact here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default=None)
 
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-regime",
                        help="eps at which the incentive constraint starts or stops binding")
-    add_common(p)
+    add_common(p, tol_flag=False)
     p.add_argument("--party", choices=["principal", "agent"], default="principal")
     p.add_argument("--which-action", help="whose beliefs to tilt (default: --action)")
     p.add_argument("--states", required=True)
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
 
     p = sub.add_parser("figure-data", help="two-state picture geometry as CSV")
-    add_common(p, action_flag=False)
+    add_common(p, action_flag=False, tol_flag=False)
     p.add_argument("--grid", type=int, default=101)
     return parser
 

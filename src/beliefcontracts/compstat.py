@@ -4,7 +4,8 @@ Re-solves the contract along a grid of two-coordinate belief tilts (either
 party, either action), recording wage paths, multipliers, the wage-variance
 "power" of incentives, per-state direction verdicts, and the spots where the
 incentive constraint stops binding.  ``detect_regime_change`` locates one such
-spot as the root of the risk-sharing contract's incentive slack.
+spot as the root of the risk-sharing contract's incentive slack, by Newton
+steps on its exact slope in eps (``kernel.sensitivity``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from .beliefs import Monotonicity, Party, ProblemInstance, SolverKind
 from .errors import BeliefContractsError, ValidationError
 from .first_best import VERDICT_TOL, classify_monotonicity, solve_first_best
-from .kernel import illinois_bracket
-from .second_best import risk_sharing_slack, solve_second_best
+from .kernel import rtsafe, sensitivity
+from .second_best import risk_sharing, solve_second_best
 
 # the tilt's earlier private name, which the acceptance suite imports
 _tilted_instance = ProblemInstance.tilted
@@ -138,19 +139,20 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
     """Find the eps at which the incentive constraint starts or stops binding
     along the tilt, within tol/2; None when the flag agrees at both ends.
 
-    The flag is the second best's ``coincides_with_first_best``.  Both ends
-    are solved with ``solve_second_best``, whose refusals propagate.  In
-    between the flag is read from the risk-sharing contract alone (see
-    ``risk_sharing_slack``): it flips where the smallest incentive slack
-    crosses -tol_s, tol_s = 1e-9 being the solver's incentive tolerance.  The
-    root of slack + tol_s is taken by ``illinois_bracket``, the side of each
-    point from the solver's own comparison slack < -tol_s, until the bracket
-    is at most tol wide; its midpoint is returned.  The root is taken on the
-    slack rather than on the multiplier mu(eps), which is identically 0 where
-    the constraint is slack and has a kink at the flip.
+    The flag is the second best's ``coincides_with_first_best``.  Both ends,
+    0 and eps_max (either sign), are solved with ``solve_second_best``, whose
+    refusals propagate.  In between the flag is read from the risk-sharing
+    contract alone (see ``risk_sharing``): it flips where the smallest
+    incentive slack crosses -tol_s, tol_s = 1e-9 being the solver's incentive
+    tolerance.  ``kernel.rtsafe`` roots slack + tol_s, each point's side from
+    the solver's own comparison slack < -tol_s, on the slope d row_i . v +
+    row_i . dv of the smallest slack's row i, dv from ``kernel.sensitivity``,
+    to a Newton correction of tol/4 or a bracket of tol/2.  The root is taken
+    on the slack rather than on the multiplier mu(eps), which is identically
+    0 where the constraint is slack and has a kink at the flip.
 
     Args:
-        eps_max: upper end of the tilt range; must keep the open simplex.
+        eps_max: other end of the tilt range; must keep the open simplex.
         target: action whose contract is solved (defaults to the costliest).
     """
     if target is None:
@@ -159,19 +161,40 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
     def tilted(eps: float) -> ProblemInstance:
         return inst.tilted(tilt.party, tilt.action, tilt.s, tilt.s_prime, eps)
 
-    def point(eps: float, sol=None):
-        """(eps, slack + tol_s, slack < -tol_s), reusing a coinciding end's slacks."""
-        if sol is not None and sol.coincides_with_first_best:
-            slack = min(sol.ic_slacks)
-        else:
-            slack = risk_sharing_slack(tilted(eps), target)
-        return eps, slack + _INCENTIVE_TOL, slack < -_INCENTIVE_TOL
-
-    lo, hi = 0.0, float(eps_max)
-    sol_lo = solve_second_best(tilted(lo), target, tol=_INCENTIVE_TOL)
-    sol_hi = solve_second_best(tilted(hi), target, tol=_INCENTIVE_TOL)
-    if sol_lo.coincides_with_first_best == sol_hi.coincides_with_first_best:
+    ends = sorted(((eps, solve_second_best(tilted(eps), target, tol=_INCENTIVE_TOL))
+                   for eps in (0.0, float(eps_max))), key=lambda end: end[0])
+    binding_lo = not ends[0][1].coincides_with_first_best
+    if binding_lo != ends[1][1].coincides_with_first_best:
         return None
-    a, b = illinois_bracket(point, point(hi, sol_hi), point(lo, sol_lo), lambda x, y: tol)
-    # an exact zero of slack + tol_s is the flip itself
-    return a[0] if a[1] == 0.0 else 0.5 * (a[0] + b[0])
+    e = np.zeros(inst.n_states)         # d beliefs / d eps
+    e[tilt.s], e[tilt.s_prime] = 1.0, -1.0
+
+    def point(eps: float, sol=None):
+        """(eps, slack + tol_s, binding as at the lower end, instance, v, lam,
+        row of the smallest slack), a coinciding end read from its solution."""
+        t = tilted(eps)
+        if sol is not None and sol.coincides_with_first_best:
+            v, lam, slacks = np.asarray(sol.utility_levels), sol.lam, sol.ic_slacks
+        else:
+            v, lam, slacks = risk_sharing(t, target)
+        i = int(np.argmin(slacks))
+        binding = slacks[i] < -_INCENTIVE_TOL
+        return eps, slacks[i] + _INCENTIVE_TOL, binding == binding_lo, t, v, lam, i
+
+    def slope(p) -> float:
+        _, _, _, t, v, lam, i = p
+        act, other = t.action(target), t.other_actions(target)[i]
+        q = act.agent_beliefs.as_array()
+        d_weights = d_q = d_row = 0.0 * e
+        if tilt.action == target and tilt.party is Party.PRINCIPAL:
+            d_weights = e
+        elif tilt.action == target:
+            d_q = d_row = e
+        elif tilt.action == other.name and tilt.party is Party.AGENT:
+            d_row = -e
+        dv, _ = sensitivity(act.principal_beliefs.as_array(), q[None], [lam], v, t.utility,
+                            d_weights, d_q)
+        return float(d_row @ v + (q - other.agent_beliefs.as_array()) @ dv)
+
+    return rtsafe(point, slope, point(*ends[0]), point(*ends[1]),
+                  lambda x: 0.25 * tol, lambda x, y: 0.5 * tol)[0]

@@ -20,8 +20,9 @@ Two inner programs live here:
     The reported outer objective is still delta4' * M(m) + C(m), which equals
     the full expected wage bill identically.  The outer derivative is the
     multiplier nu on the pinned spread (the envelope theorem), and its slope
-    nu'(m) follows from the pinned solve's own rows, so the outer step is a
-    safeguarded Newton root-find on nu(m), not a search on cost values.
+    nu'(m) is the pinned solve's sensitivity to the spread level
+    (``kernel.sensitivity``), so the outer step is a safeguarded Newton
+    root-find on nu(m), not a search on cost values.
 
 Both run on ``second_best.solve_dual``, the pinned spread as an equality row
 whose multiplier is free in sign.
@@ -37,7 +38,7 @@ import numpy as np
 from .beliefs import (MlrpOrder, ProblemInstance, mlrp_compare,
                       reduce_distribution)
 from .errors import BeliefContractsError, NoBracket, RangeError, ValidationError
-from .kernel import rtsafe
+from .kernel import rtsafe, sensitivity
 from .second_best import solve_dual, solve_second_best
 from .utility import UtilityModel
 
@@ -220,44 +221,18 @@ class OuterSolution:
     trace: tuple[tuple[float, float, float, float], ...]
 
 
-def _nu_slope(sp: SpreadProblem, inner: _PinnedInner) -> float:
-    """d nu / dm at a pinned solve, with its active rows held fixed.
-
-    Differentiating the stationarity conditions delta_s h'(v_s) = (M^T theta)_s
-    and the active rows M v = r in m (only the spread row's level moves) gives
-    J d theta / dm = e_nu with J = M diag(1 / (delta h''(v))) M^T, so
-    nu'(m) = [J^-1]_nu,nu > 0 (Fiacco, *Introduction to Sensitivity and
-    Stability Analysis in Nonlinear Programming*, 1983).  M holds the solve's
-    own rows: participation, the incentive row if it binds, the spread row.
-    NaN when J cannot be formed or solved.
-    """
-    rows = [sp.pi4] + ([sp.pi4 - sp.eta4] if inner.ic_binding else []) + [_SPREAD_ROW]
-    M = np.vstack(rows)
-    hpp = np.asarray(sp.base.utility.inverse_second_derivative(np.asarray(inner.v)),
-                     dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        curv = 1.0 / (sp.delta4 * hpp)
-    if not np.isfinite(curv).all():
-        return math.nan
-    e_nu = np.zeros(len(rows))
-    e_nu[-1] = 1.0
-    try:
-        return float(np.linalg.solve(M @ (curv[:, None] * M.T), e_nu)[-1])
-    except np.linalg.LinAlgError:
-        return math.nan
-
-
 def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
     """Minimize delta4' * M(m) + C(m) over the spread as a root of its multiplier.
 
     By the envelope theorem the outer derivative G'(m) is the multiplier nu on
     the pinned spread constraint, and G is convex, so the optimum is the root
     of nu(m).  From m = 0 the search walks by Newton steps -nu / nu', with
-    nu' from ``_nu_slope``; only where that slope is unusable does it take
-    the doubling step (0.25, then twice the last).  A probe the solver
-    refuses is replaced by one halfway back toward the last admissible
-    spread.  Once nu changes sign the bracket is narrowed by safeguarded
-    Newton (``kernel.rtsafe``).  Both stop when the Newton correction is at
+    nu' = [J^-1]_nu,nu from ``kernel.sensitivity`` (J = M diag(1 / (delta
+    h''(v))) M^T over the pinned solve's own rows); only where that slope is
+    unusable does it take the doubling step (0.25, then twice the last).  A
+    probe the solver refuses is replaced by one halfway back toward the last
+    admissible spread.  Once nu changes sign the bracket is narrowed by
+    safeguarded Newton (``kernel.rtsafe``).  Both stop when the Newton correction is at
     most 1e-12 relative or the bracket is at most 1e-12 relative wide, and m*
     is the solved spread with the smallest |nu|.  The assembled contract
     satisfies the outer first-order condition delta4' M'(m) = lam pi4' +
@@ -284,7 +259,14 @@ def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
         return m, inner.nu, inner.nu < 0.0, inner
 
     def slope(point) -> float:
-        return _nu_slope(sp, point[3])
+        """nu'(m) from the pinned solve's own rows (participation, the
+        incentive row if it binds, the spread), only the spread's level moving."""
+        inner = point[3]
+        keep = [0, 1, 2] if inner.ic_binding else [0, 2]
+        M = np.vstack([sp.pi4, sp.pi4 - sp.eta4, _SPREAD_ROW])[keep]
+        theta = np.array([inner.lam, inner.mu, inner.nu])[keep]
+        return float(sensitivity(sp.delta4, M, theta, inner.v, sp.base.utility,
+                                 d_r=np.eye(len(keep))[-1])[1][-1])
 
     def step_tol(m: float) -> float:
         return 1e-12 * abs(m)

@@ -4,7 +4,7 @@ Everything here works in promised-utility space (v_s = u(w_s)), where the
 participation and incentive constraints are linear and the objective
 sum_s weight_s * h(v_s) is convex because h = u^-1 is convex.
 
-Two entry points, and two scalar root-finders:
+Two entry points, the one scalar root-finder and one sensitivity:
 
 ``solve_ir_only``
     Risk sharing against a single binding expected-utility constraint: its
@@ -12,14 +12,12 @@ Two entry points, and two scalar root-finders:
     in it) and then found by ``rtsafe``; every second-best solve starts here.
 
 ``rtsafe``
-    Newton's method safeguarded by bisection on a sign bracket, for roots
-    whose slope is known in closed form: the risk-sharing multiplier here,
-    the spread multiplier in ``outer_minimize`` and the pivot equation in
-    ``cara.solve_w1``.
+    Newton's method safeguarded by bisection on a sign bracket, for every
+    scalar root of the package, each on an exact slope.
 
-``illinois_bracket``
-    Illinois regula falsi on a sign bracket, for a root without a slope (the
-    risk-sharing incentive slack in ``detect_regime_change``).
+``sensitivity``
+    The derivative of a KKT point in the program's data, the slope of the
+    roots in ``outer_minimize`` and ``detect_regime_change``.
 
 ``minimize_on_affine``
     min sum_s weight_s h(v_s)  subject to  M v = r from a given start, the
@@ -174,33 +172,33 @@ def rtsafe(f, slope, lo, hi, step_tol, width):
     return best
 
 
-def illinois_bracket(f, a, b, width):
-    """Narrow a sign bracket by Illinois regula falsi (Dowell & Jarratt,
-    *BIT* 11, 1971).
+def sensitivity(weights, M, theta, v, model: UtilityModel, d_weights=0.0, d_M=0.0,
+                d_r=0.0):
+    """Derivative (dv, dtheta) of a KKT point (v, theta) of min sum_s
+    weights_s h(v_s) s.t. M v = r (the active rows) along a move (d_weights,
+    d_M, d_r) of its data, each broadcast against its data, so 0 holds it.
 
-    Points are tuples (x, value, side, ...) as ``f(x)`` returns them, and a
-    and b lie on different sides: ``side`` decides which end an iterate
-    replaces, ``value`` is used only to interpolate.  a is the latest iterate
-    and b the bracket end on the other side; the value kept for b is halved
-    each time b stays.  Each iterate lands at least width(a, b) / 2 inside
-    the bracket, so a root sitting on an end closes it in one more
-    evaluation.  Stops when a's value is exactly zero, when the bracket is at
-    most width(a, b) wide or after 200 iterates, and returns (a, b).
+    Differentiating weights_s h'(v_s) = (M^T theta)_s and M v = r gives, with
+    C = 1 / (weights h''(v)) and J = M diag(C) M^T (Fiacco, *Introduction to
+    Sensitivity and Stability Analysis in Nonlinear Programming*, 1983),
+    J dtheta = d_r - d_M v - M C g and dv = C (g + M^T dtheta), where
+    g = d_M^T theta - d_weights h'(v).  NaN where J cannot be formed or solved.
     """
-    value_b = b[1]
-    for _ in range(_MAX_ROOT):
-        span = width(a[0], b[0])
-        if a[1] == 0.0 or abs(a[0] - b[0]) <= span:
-            break
-        x = a[0] - a[1] * (a[0] - b[0]) / (a[1] - value_b)
-        x = min(max(x, min(a[0], b[0]) + 0.5 * span), max(a[0], b[0]) - 0.5 * span)
-        c = f(x)
-        if c[2] != a[2]:
-            b, value_b = a, a[1]
-        else:
-            value_b *= 0.5
-        a = c
-    return a, b
+    weights, M, theta, v = (np.asarray(x, dtype=float) for x in (weights, M, theta, v))
+    d_M = np.broadcast_to(np.asarray(d_M, dtype=float), M.shape)
+    unusable = np.full(v.shape, np.nan), np.full(theta.shape, np.nan)
+    with np.errstate(divide="ignore", over="ignore"):
+        curv = 1.0 / (weights * np.asarray(model.inverse_second_derivative(v), dtype=float))
+    if not np.isfinite(curv).all():
+        return unusable
+    g = d_M.T @ theta
+    if np.any(d_weights):
+        g = g - d_weights * np.asarray(model.inverse_derivative(v), dtype=float)
+    try:
+        dtheta = np.linalg.solve(M @ (curv[:, None] * M.T), d_r - d_M @ v - M @ (curv * g))
+    except np.linalg.LinAlgError:
+        return unusable
+    return curv * (g + M.T @ dtheta), dtheta
 
 
 def _independent_rows(M: np.ndarray, r: np.ndarray):

@@ -81,21 +81,22 @@ def _ic_rows(inst: ProblemInstance, target: str):
             [act.cost - o.cost for o in others])
 
 
-def risk_sharing_slack(inst: ProblemInstance, target: str) -> float:
-    """Smallest incentive slack of the risk-sharing contract for ``target``.
+def risk_sharing(inst: ProblemInstance, target: str):
+    """(v, lam, incentive slacks) of the risk-sharing contract for ``target``.
 
     This is the contract ``solve_dual`` starts from and returns when no slack
     is below -tol (the same ``solve_ir_only`` call and the same slacks, row by
     row); past that test some incentive multiplier stays positive, or v would
     be this contract.  So wherever ``solve_second_best(inst, target, tol)``
     returns without a wage box, ``coincides_with_first_best`` holds exactly
-    when this slack is not below -tol.
+    when no slack here is below -tol, and then its utility levels, lam and
+    ic_slacks are these.
     """
     act = inst.action(target)
     q, rows, rhs = _ic_rows(inst, target)
-    v, _, _ = solve_ir_only(act.principal_beliefs.as_array(), q, inst.utility,
-                            inst.reservation_utility + act.cost)
-    return float(min(row @ v - rv for row, rv in zip(rows, rhs)))
+    v, _, lam = solve_ir_only(act.principal_beliefs.as_array(), q, inst.utility,
+                              inst.reservation_utility + act.cost)
+    return v, lam, tuple(float(row @ v - rv) for row, rv in zip(rows, rhs))
 
 
 def solve_dual(weights, M, r, n_eq: int, model, tol: float,

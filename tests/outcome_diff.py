@@ -21,11 +21,13 @@ Beside each op's verdict, a choose_action op records one direct
 ``solve_second_best`` per action (``i/action``) with the ``check_solve``
 verdict of solve_mix, every returned contract records its wages and
 ``kkt_certificate``'s stationarity_max, a detect_regime_change op that
-returned an eps records it, and an equivalence_report op that returned
-records its m* and iterative cost.  The report prints every verdict transition,
+returned an eps records it, an equivalence_report op that returned
+records its m* and iterative cost, and a cara_compstat op that returned
+records its wage paths.  The report prints every verdict transition,
 with stationarity_max before and after when both sides returned a contract,
 the certified count of each side, the largest relative wage move
-max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify, and
+max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify (and,
+over a whole wage path, among the cara_compstat ops both sides answer), and
 the largest |eps*' - eps*|, |m*' - m*| / |m*| and |cost' - cost| / |cost|
 among the answers both sides give.  Not collected by pytest (no ``test_`` prefix).
 """
@@ -96,6 +98,8 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
             out[str(i)]["eps_star"] = outcome
         if isinstance(outcome, bc.EquivalenceReport):
             out[str(i)].update(m_star=outcome.m_star, cost=outcome.cost_iterative)
+        if isinstance(outcome, bc.CaraSweep):
+            out[str(i)]["cara_wages"] = [list(row) for row in outcome.wages]
         if case["kind"].startswith("choose_action"):
             inst = case["inst"]
             for act in inst.actions:
@@ -138,6 +142,15 @@ def compare(label: str, old: dict, new: dict) -> None:
                 worst, where = move, key
     print(f"  largest relative wage move among solves both certify: {worst:.3g}"
           + (f" (op {where})" if where else ""))
+    cara = []
+    for key in old:
+        if "cara_wages" in old[key] and "cara_wages" in new[key]:
+            w0, w1 = (np.asarray(side[key]["cara_wages"]) for side in (old, new))
+            cara.append((float(np.max(np.abs(w1 - w0)) / np.max(np.abs(w0))), key))
+    if cara:
+        move, where = max(cara)
+        print(f"  largest relative cara_compstat wage move among {len(cara)} answers both "
+              f"sides give: {move:.3g} (op {where})")
     for field, what, relative in (("eps_star", "eps*", False), ("m_star", "relative m*", True),
                                   ("cost", "relative cost", True)):
         moves = [(abs(new[key][field] - old[key][field])

@@ -107,21 +107,37 @@ class TestSolve:
         rng = np.random.default_rng(43)
         systems = [toy_system()] + [cara_system_draw(rng, require_binding=False)
                                     for _ in range(10)]
+        # the gap carries the pole factor D3 = kappa21 e^-w1 - r2, so it and
+        # its slope are finite on the closed branch, ends included: there it
+        # is p1 (1 - gamma2) D3 > 0 at the floor and -p2 gamma2 (r3 - kappa31
+        # e^-w1) < 0 at a finite upper end; it falls wherever it is positive
         h = 1e-6
+        ends = 0
         for sys_ in systems:
             lo, hi = bc.branch_interval(sys_)
             top = hi if math.isfinite(hi) else lo + 4.0
-            for w1 in lo + (top - lo) * np.linspace(0.02, 0.98, 9):
+            p, g2 = sys_.principal.probs, sys_.gamma2
+            floor = p[1] * (1.0 - g2) * (sys_.kappa21 * math.exp(-lo) - sys_.r2)
+            assert _pivot_gap(sys_, lo) == pytest.approx(floor, rel=1e-9)
+            if math.isfinite(hi):
+                end = -p[2] * g2 * (sys_.r3 - sys_.kappa31 * math.exp(-hi))
+                assert end < 0.0
+                assert _pivot_gap(sys_, hi) == pytest.approx(end, rel=1e-9)
+                ends += 1
+            for w1 in lo + (top - lo) * np.linspace(0.0, 1.0, 11):
                 fd = (_pivot_gap(sys_, w1 + h) - _pivot_gap(sys_, w1 - h)) / (2.0 * h)
                 slope = _pivot_slope(sys_, w1)
-                assert slope < 0.0
+                assert math.isfinite(slope)
+                if _pivot_gap(sys_, w1) > 0.0:
+                    assert slope < 0.0
                 assert slope == pytest.approx(fd, rel=1e-6)
+        assert ends >= 3
 
     def test_root_in_few_gap_evaluations_within_tol(self, monkeypatch):
-        # Newton on the closed-form slope, bracket search included: at tol
-        # 1e-12, 7.8 gap evaluations per solve on these draws and at most 17,
-        # where the bisection it replaced took about 40; at every tol, w1
-        # stays within tol * max(1, |w1|) of the root
+        # Newton on the closed-form slope from the branch ends, both ends
+        # included: at tol 1e-12, 6.0 gap evaluations per solve on these
+        # draws and at most 8, where the bisection it replaced took about
+        # 40; at every tol, w1 stays within tol * max(1, |w1|) of the root
         from beliefcontracts import cara
         gap = cara._pivot_gap
         calls = []
@@ -136,8 +152,8 @@ class TestSolve:
                 w1 = bc.solve_w1(sys_, tol=tol)
                 assert abs(w1 - ref) <= tol * max(1.0, abs(ref))
             counts.append(len(calls))
-        assert np.mean(counts) <= 8.0
-        assert max(counts) <= 17
+        assert np.mean(counts) <= 6.5
+        assert max(counts) <= 8
 
     def test_matches_numeric_second_best(self):
         rng = np.random.default_rng(41)

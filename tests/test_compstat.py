@@ -7,6 +7,7 @@ import pytest
 
 import beliefcontracts as bc
 from beliefcontracts import Monotonicity, Party, SolverKind, compstat
+from support import FAMILY_NAMES, two_action_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,7 +116,7 @@ class TestRegimeDetection:
 
     def test_two_second_best_solves_per_answer(self, monkeypatch):
         # the ends are solved in full; inside the bracket only the
-        # risk-sharing contract is
+        # risk-sharing contract is, and the non-coinciding end's counts too
         calls = {"second_best": 0, "risk_sharing": 0}
 
         def counted(name, fn):
@@ -126,14 +127,25 @@ class TestRegimeDetection:
 
         monkeypatch.setattr(compstat, "solve_second_best",
                             counted("second_best", compstat.solve_second_best))
-        monkeypatch.setattr(compstat, "risk_sharing_slack",
-                            counted("risk_sharing", compstat.risk_sharing_slack))
+        monkeypatch.setattr(compstat, "risk_sharing",
+                            counted("risk_sharing", compstat.risk_sharing))
         inst = bc.load_problem(DATA / "log_two_state.json")
         eps = bc.detect_regime_change(inst, bc.BeliefTilt(Party.PRINCIPAL, "H", 0, 1),
                                       0.45, target="H")
         assert eps is not None
         assert calls["second_best"] == 2
-        assert calls["risk_sharing"] <= 8
+        assert calls["risk_sharing"] <= 4
+
+    def test_mirrored_tilt_gives_the_negated_root(self):
+        # (s, s'), E and (s', s), -E tilt through the same instances with
+        # eps negated, so every iterate, and the root, is negated exactly
+        inst = log_two_state()
+        eps = bc.detect_regime_change(inst, bc.BeliefTilt(Party.PRINCIPAL, "H", 0, 1),
+                                      0.44, target="H")
+        mirrored = bc.detect_regime_change(inst, bc.BeliefTilt(Party.PRINCIPAL, "H", 1, 0),
+                                           -0.44, target="H")
+        assert eps is not None and 0.0 < eps < 0.44
+        assert mirrored == -eps
 
     def test_end_refusal_propagates(self):
         # driver_mix seed 5151 op 497: both ends are Infeasible, while the
@@ -152,3 +164,53 @@ class TestRegimeDetection:
                        SolverKind.SECOND_BEST)
         assert len(res.regime_changes) == 1
         assert abs(res.regime_changes[0] - eps_star) <= grid[1] - grid[0] + 1e-9
+
+
+class TestRegimeSlope:
+    """The slope ``detect_regime_change`` hands ``rtsafe``, d row_i . v +
+    row_i . dv with dv from ``kernel.sensitivity``, against central
+    differences of the slack it roots, for the four tilt kinds."""
+
+    H = 1e-6
+
+    def test_slope_matches_central_differences(self, monkeypatch):
+        captured = []
+        real = compstat.rtsafe
+
+        def spy(f, slope, lo, hi, *rest):
+            captured.append((f, slope, lo[0], hi[0]))
+            return real(f, slope, lo, hi, *rest)
+
+        monkeypatch.setattr(compstat, "rtsafe", spy)
+        rng = np.random.default_rng(71)
+        checked = {}
+        for k in range(120):
+            inst = two_action_instance(rng, 3, name=FAMILY_NAMES[k % 5], chain=False)
+            party = Party.PRINCIPAL if k % 2 else Party.AGENT
+            which = "H" if k % 4 < 2 else "L"
+            s, s_prime = (int(x) for x in rng.choice(3, 2, replace=False))
+            act = inst.action(which)
+            beliefs = act.principal_beliefs if party is Party.PRINCIPAL else act.agent_beliefs
+            captured.clear()
+            try:
+                bc.detect_regime_change(inst, bc.BeliefTilt(party, which, s, s_prime),
+                                        0.9 * beliefs.probs[s_prime], target="H")
+            except bc.BeliefContractsError:
+                continue
+            if (party, which) == (Party.PRINCIPAL, "L"):
+                # the principal's beliefs about L never enter the contract:
+                # the flag cannot flip, and no slope is asked for
+                assert not captured
+                checked[party, which] = checked.get((party, which), 0) + 1
+                continue
+            if not captured:
+                continue
+            f, slope, lo, hi = captured[0]
+            for x in np.linspace(lo, hi, 7)[1:-1]:
+                below, at, above = (f(x + dx) for dx in (-self.H, 0.0, self.H))
+                if not below[6] == at[6] == above[6]:
+                    continue          # the smallest slack changes row here
+                fd = (above[1] - below[1]) / (2.0 * self.H)
+                assert slope(at) == pytest.approx(fd, rel=1e-6), (k, x)
+                checked[party, which] = checked.get((party, which), 0) + 1
+        assert len(checked) == 4 and min(checked.values()) >= 20, checked

@@ -161,6 +161,18 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["eps_star"] == pytest.approx(0.2112, abs=1e-3)
 
+    @pytest.mark.parametrize("argv", [
+        ("detect-regime", "--problem", str(DATA / "log_two_state.json"), "--states", "0,1",
+         "--eps-max", "0.44"),
+        ("figure-data", "--problem", str(DATA / "log_binding.json")),
+    ])
+    def test_tol_is_refused_where_it_would_be_dropped(self, capsys, argv):
+        # neither command passes a tolerance on, so argparse refuses the flag
+        code, out = self.run(*argv, "--tol", "1e-3")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        assert self.run(*argv)[0] == 0
+
     def test_input_error_exit_code(self):
         code, _ = self.run("solve-second-best", "--problem", "/nonexistent.json")
         assert code == 2

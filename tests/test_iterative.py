@@ -212,8 +212,7 @@ class TestOuter:
             sp = four_state_spread_draw(rng)
             direct = bc.solve_second_best(sp.base, "H")
             m_direct = direct.utility_levels[3] - direct.utility_levels[2]
-            start = pinned(sp, 0.0, 1e-9)
-            first_probe = -start.nu / iterative._nu_slope(sp, start)
+            first_probe = bc.outer_minimize(sp).trace[1][0]     # m = 0, then the probe
             if first_probe > m_direct > 0.0:
                 break
         else:
@@ -283,6 +282,18 @@ class TestOuter:
             assert mid <= 0.5 * (g1 + g2) + 1e-10
 
 
+def nu_slope(sp, inner) -> float:
+    """nu'(m) from ``kernel.sensitivity`` on the pinned solve's own rows, the
+    spread's level moving, as ``outer_minimize`` takes it."""
+    from beliefcontracts.iterative import _SPREAD_ROW
+    keep = [0, 1, 2] if inner.ic_binding else [0, 2]
+    M = np.vstack([sp.pi4, sp.pi4 - sp.eta4, _SPREAD_ROW])[keep]
+    theta = np.array([inner.lam, inner.mu, inner.nu])[keep]
+    _, dtheta = bc.kernel.sensitivity(sp.delta4, M, theta, inner.v, sp.base.utility,
+                                      d_r=np.eye(len(keep))[-1])
+    return float(dtheta[-1])
+
+
 class TestSpreadMultiplierSlope:
     """nu'(m) = [J^-1]_nu,nu from the pinned solve's own rows, against a
     central difference of nu across the same working set."""
@@ -290,7 +301,7 @@ class TestSpreadMultiplierSlope:
     H = 1e-5
 
     def _compare(self, sp, ms):
-        from beliefcontracts.iterative import _nu_slope, _pinned_inner
+        from beliefcontracts.iterative import _pinned_inner
         checked = {True: 0, False: 0}
         for m in ms:
             try:
@@ -299,7 +310,7 @@ class TestSpreadMultiplierSlope:
                 continue              # outside the admissible spreads of this draw
             assert lo.ic_binding is mid.ic_binding is hi.ic_binding
             fd = (hi.nu - lo.nu) / (2.0 * self.H)
-            assert _nu_slope(sp, mid) == pytest.approx(fd, rel=1e-6)
+            assert nu_slope(sp, mid) == pytest.approx(fd, rel=1e-6)
             checked[mid.ic_binding] += 1
         return checked
 

@@ -257,3 +257,31 @@ def test_minimize_on_affine_contract_on_nearly_dependent_rows():
         blocks = [M[:, list(c)] for c in itertools.combinations(range(5), 3)]
         assert min(np.linalg.cond(B) for B in blocks) > 1e6
         assert_affine_contract(weights, M, r, model)
+
+
+@pytest.mark.parametrize("name", ["cara", "log", "crra_low", "crra_high", "sqrt"])
+def test_sensitivity_matches_central_differences(name):
+    """(dv, dtheta) of a 3-row program's optimum as the weights, one row and
+    one level move, against central differences of ``minimize_on_affine``'s
+    solution with the moved data."""
+    rng = np.random.default_rng(61)
+    weights, M, r, model = planted_affine_draw(rng, name, 3, 5)
+    e = np.array([1.0, 0.0, 0.0, -1.0, 0.0])
+    moved_row = np.zeros_like(M)
+    moved_row[1] = 0.1 * e
+    h = 1e-6
+    start = np.asarray(model.evaluate(np.ones(5)))
+
+    def solve(d_weights, d_M, d_r, t):
+        sol = kernel.minimize_on_affine(weights + t * d_weights, M + t * d_M,
+                                        r + t * d_r, model, start)
+        return np.asarray(sol.v), np.asarray(sol.multipliers)
+
+    v, theta = solve(0.0, 0.0, 0.0, 0.0)
+    for direction in ((0.1 * weights * e, 0.0, 0.0), (0.0, moved_row, 0.0),
+                      (0.0, 0.0, np.array([0.0, 0.0, 0.1]))):
+        dv, dtheta = kernel.sensitivity(weights, M, theta, v, model, *direction)
+        (v_hi, th_hi), (v_lo, th_lo) = (solve(*direction, t) for t in (h, -h))
+        for got, hi_, lo_ in ((dv, v_hi, v_lo), (dtheta, th_hi, th_lo)):
+            fd = (hi_ - lo_) / (2.0 * h)
+            assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()

@@ -12,7 +12,7 @@ import pytest
 
 import beliefcontracts as bc
 from beliefcontracts import Monotonicity
-from beliefcontracts.second_best import risk_sharing_slack
+from beliefcontracts.second_best import risk_sharing
 from support import FAMILY_NAMES, make_family, rand_outputs, rand_simplex, two_action_instance
 
 DATA = Path(__file__).parent / "data"
@@ -305,7 +305,7 @@ def many_action_draw(k: int):
 
 class TestRiskSharingSlack:
     def test_flag_is_the_coincidence_flag(self):
-        # the identity risk_sharing_slack states: exact, no tolerance
+        # the identity risk_sharing states: exact, no tolerance
         seen = {True: 0, False: 0}
         for k in range(1440):
             inst, target = many_action_draw(k)
@@ -313,10 +313,11 @@ class TestRiskSharingSlack:
                 sol = bc.solve_second_best(inst, target, tol=1e-9)
             except bc.BeliefContractsError:
                 continue
-            slack = risk_sharing_slack(inst, target)
-            assert (not slack < -1e-9) == sol.coincides_with_first_best, k
+            v, lam, slacks = risk_sharing(inst, target)
+            assert (not min(slacks) < -1e-9) == sol.coincides_with_first_best, k
             if sol.coincides_with_first_best:
-                assert slack == min(sol.ic_slacks), k
+                assert slacks == sol.ic_slacks, k
+                assert tuple(v) == sol.utility_levels and lam == sol.lam, k
             seen[sol.coincides_with_first_best] += 1
         assert seen[True] + seen[False] >= 1000
         assert min(seen.values()) >= 100
