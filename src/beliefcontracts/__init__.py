@@ -32,4 +32,4 @@ from .second_best import (ActionChoiceReport, FigureBundle, KktReport,
                           kkt_certificate, monotonicity_report,
                           principal_payoff_monotonicity, solve_second_best)
 from .utility import (CaraUtility, CrraUtility, LogUtility, SqrtUtility,
-                      TabulatedUtility, UtilityModel, utility_from_name)
+                      UtilityModel, utility_from_name)

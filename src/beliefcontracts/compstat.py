@@ -20,9 +20,6 @@ from .first_best import VERDICT_TOL, classify_monotonicity, solve_first_best
 from .kernel import rtsafe, sensitivity
 from .second_best import risk_sharing, solve_second_best
 
-# the tilt's earlier private name, which the acceptance suite imports
-_tilted_instance = ProblemInstance.tilted
-
 # incentive tolerance of detect_regime_change's second-best solves and of
 # its slack comparison (solve_second_best's default)
 _INCENTIVE_TOL = 1e-9

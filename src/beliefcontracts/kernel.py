@@ -35,14 +35,16 @@ utility-range boundary is refused as a boundary optimum, and one above 1e-8
 anywhere else as ill-conditioning.
 
 Every utility evaluation goes through the checked public ``UtilityModel``
-methods, and ``solve_ir_only`` keeps the wages of every multiplier it
-tries, returns those of the best one, and takes the marginal utility for
-its Newton slope from the argument of ``inverse_marginal``.
+methods.  ``solve_ir_only`` makes them on the family's own wage domain, so
+a tightened ``domain`` bounds the answer, not the search; it keeps the wages
+of every multiplier it tries, returns those of the best one, and takes the
+marginal utility for its Newton slope from the argument of
+``inverse_marginal``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,6 +81,10 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     (u = 2^-53) or the bracket is at most 1e-12 relative wide, and returns
     the evaluated multiplier with the smallest |R|.
 
+    rhs must lie in ``model``'s utility range, but the search runs on the
+    family's own domain (``domain`` dropped): its probes may leave a tightened
+    one, and each caller checks the answer against ``model`` itself.
+
     Returns:
         (v, wages, lam) with v_s = u(w_s).
     """
@@ -88,6 +94,8 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
         raise NoBracket(
             f"required expected utility {rhs} is outside the range "
             f"{model.utility_range} of the {model.family} family")
+    if model.domain is not None:
+        model = replace(model, domain=None)
 
     ratio = weights / probs
 

@@ -15,7 +15,7 @@ Problem files are JSON with a versioned schema::
     }
 
 ``utility`` optionally carries ``"wage_domain": [lo, hi]`` (may tighten, never
-widen, the family default; null means the default endpoint).  Families:
+widen, the family default; null keeps the family's endpoint).  Families:
 cara (parameter r), log, crra (parameter gamma), sqrt.
 
 Numbers are serialized with 17 significant digits so parse/serialize round
@@ -126,9 +126,7 @@ def parse_problem(text: str) -> ProblemInstance:
         wd = uspec["wage_domain"]
         if not isinstance(wd, (list, tuple)) or len(wd) != 2:
             raise ParseError("utility.wage_domain: expected [lo, hi]")
-        lo = float("-inf") if wd[0] is None else float(wd[0])
-        hi = float("inf") if wd[1] is None else float(wd[1])
-        wage_domain = (lo, hi)
+        wage_domain = tuple(None if x is None else float(x) for x in wd)
     model = utility_from_name(family, params, wage_domain)
 
     raw_actions = _need(doc, "actions", "document")
@@ -175,11 +173,8 @@ def serialize_problem(inst: ProblemInstance) -> str:
     elif model.family == "crra":
         params["gamma"] = model.gamma
     uspec = {"family": model.family, "parameters": params}
-    default = {"cara": (float("-inf"), float("inf"))}.get(model.family, (0.0, float("inf")))
-    if tuple(model.wage_domain) != default:
-        lo, hi = model.wage_domain
-        uspec["wage_domain"] = [None if math.isinf(lo) else lo,
-                                None if math.isinf(hi) else hi]
+    if model.domain is not None:        # None: the family's default domain
+        uspec["wage_domain"] = [None if math.isinf(x) else x for x in model.domain]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "outputs": list(inst.outputs),

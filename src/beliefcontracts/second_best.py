@@ -47,11 +47,7 @@ class SecondBestSolution:
         ir_residual: participation slack in utils.
         expected_cost_principal: wage bill under pi^P(target).
         coincides_with_first_best: no incentive constraint binds.
-        foc_residuals: per state, stationarity residual divided by pi^P_s;
-            for states pinned at a wage-box bound the bound multiplier is
-            excluded, so the residual reports the bound's shadow price.
-        lower_bound_states / upper_bound_states: states pinned at the wage
-            box (empty without a box).
+        foc_residuals: per state, stationarity residual divided by pi^P_s.
     """
 
     target: str
@@ -64,8 +60,6 @@ class SecondBestSolution:
     expected_cost_principal: float
     coincides_with_first_best: bool
     foc_residuals: tuple[float, ...]
-    lower_bound_states: tuple[int, ...] = ()
-    upper_bound_states: tuple[int, ...] = ()
 
     @property
     def binding(self) -> tuple[bool, ...]:
@@ -88,9 +82,8 @@ def risk_sharing(inst: ProblemInstance, target: str):
     is below -tol (the same ``solve_ir_only`` call and the same slacks, row by
     row); past that test some incentive multiplier stays positive, or v would
     be this contract.  So wherever ``solve_second_best(inst, target, tol)``
-    returns without a wage box, ``coincides_with_first_best`` holds exactly
-    when no slack here is below -tol, and then its utility levels, lam and
-    ic_slacks are these.
+    returns, ``coincides_with_first_best`` holds exactly when no slack here is
+    below -tol, and then its utility levels, lam and ic_slacks are these.
     """
     act = inst.action(target)
     q, rows, rhs = _ic_rows(inst, target)
@@ -99,18 +92,18 @@ def risk_sharing(inst: ProblemInstance, target: str):
     return v, lam, tuple(float(row @ v - rv) for row, rv in zip(rows, rhs))
 
 
-def solve_dual(weights, M, r, n_eq: int, model, tol: float,
-               wage_box: tuple[float, float] | None = None):
+def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     """Minimize sum_s weights_s h(v_s) s.t. M_i v >= r_i on the first
     m - n_eq rows (row 0 is participation), M_i v = r_i on the last n_eq and
-    wages in the box, by projected Newton ascent on the concave dual
-    (Bertsekas, *SIAM J. Control Optim.* 20, 1982).
+    wages in ``model.wage_domain``, by projected Newton ascent on the concave
+    dual (Bertsekas, *SIAM J. Control Optim.* 20, 1982).
 
     At theta (>= 0 on the inequality rows) state s takes v_s =
-    u((u')^-1(weights_s / c_s)), c = M^T theta, clamped to a box face or
-    finite range end (a trial past an infinite end is rejected), so only
+    u((u')^-1(weights_s / c_s)), c = M^T theta, clamped to a finite end of
+    the model's range (a trial past an infinite end is rejected), so only
     M v >= r is iterated, from the risk-sharing multiplier of
-    ``solve_ir_only`` (returned as is when nothing else fails by over tol).
+    ``solve_ir_only`` (returned as is when its wages lie inside the model's
+    domain and nothing else fails by over tol).
     A step solves (M_F D M_F^T + tau I) d = grad_F, grad = r - M v,
     D = 1 / (weights h''(v)) on unclamped states, tau = 1e-10 min(1, |pg|)
     max diag, off the binding set (theta_i <= eps with grad_i <= 0, or 0 with
@@ -119,15 +112,15 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float,
     the projected gradient pg shrinks).  It stops at |pg| <= 1e-12 max(1, |r|)
     with sum |theta pg| <= tol, trying full steps only below that |pg|.
     Otherwise, after 20 steps, ``minimize_on_affine`` polishes v(theta) on
-    the active rows (clamped states pinned), kept at slacks and multipliers
-    >= -tol; failing that, the iterate stands if |pg| <= tol.  Returns
-    (v, wages, theta, active rows, lower, upper clamped states).
+    the active rows, kept at slacks and multipliers >= -tol; failing that,
+    the iterate stands if |pg| <= tol.  Returns (v, wages, theta, active rows).
 
     Infeasible when d = theta or a Newton step, >= 0 on the inequality rows,
     has d.r > sum_s max(c_s lo, c_s hi), c = M^T d, above the d.r <= c.v of
     any feasible v (Farkas; Boyd & Vandenberghe, *Convex Optimization*,
-    section 5.8), or at |theta| > 1e12 (divergence).  KKTDegeneracy at a
-    utility-range end or a failed polish.
+    section 5.8), or at |theta| > 1e12 (divergence).  KKTDegeneracy with a
+    state clamped at an end of the model's range (the domain is open, a
+    tightened one too) or a failed polish.
     """
     weights = np.asarray(weights, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -135,20 +128,13 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float,
     m, S = M.shape
     sign = np.arange(m) < m - n_eq
     (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
-    if wage_box is not None:
-        if not wage_box[0] < wage_box[1]:
-            raise ValidationError("wage box requires w_min < w_max")
-        if wage_box[0] > w_lo:
-            w_lo, v_lo = wage_box[0], float(model.evaluate(wage_box[0]))
-        if wage_box[1] < w_hi:
-            w_hi, v_hi = wage_box[1], float(model.evaluate(wage_box[1]))
 
     v, w, lam = solve_ir_only(weights, M[0], model, r[0])
     theta = np.zeros(m)
     theta[0] = lam
     inside = bool(((w > w_lo) & (w < w_hi)).all())
     if n_eq == 0 and inside and all(row @ v - rv >= -tol for row, rv in zip(M[1:], r[1:])):
-        return v, w, theta, np.arange(m) == 0, (), ()
+        return v, w, theta, np.arange(m) == 0
 
     abs_MT = np.abs(M.T)
     floor = np.where(sign, 0.0, -np.inf)     # theta >= 0 on the inequality rows
@@ -196,7 +182,7 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float,
         grad = r - M @ v
         no = np.zeros(S, bool)
         cur = (theta, w, v, no, no, grad, float(weights @ w + theta @ grad))
-    else:           # some wage clamped at a box face, so never None
+    else:           # some wage clamped at a tightened domain end, so never None
         cur = point(theta)
     for step in range(_MAX_DUAL + 1):
         theta, w, v, low, high, grad, value = cur
@@ -249,27 +235,22 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float,
         cur = nxt
 
     theta, w, v, low, high, _, _ = cur
-    d_lo, d_hi = model.wage_domain
-    if (low.any() and w_lo == d_lo) or (high.any() and w_hi == d_hi):
+    if low.any() or high.any():
         raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
                             "conditions fail (no interior solution exists)")
-    clamped = (tuple(np.flatnonzero(low)), tuple(np.flatnonzero(high)))
     active = ~sign | (theta > 0.0)
     active[0] = True
     if converged:
-        return v, w, theta, active, *clamped
+        return v, w, theta, active
 
-    pins = np.flatnonzero(low | high)
     try:
-        sol = minimize_on_affine(weights, np.vstack([M[active], np.eye(S)[pins]]),
-                                 np.r_[r[active], v[pins]], model, v)
+        sol = minimize_on_affine(weights, M[active], r[active], model, v)
         v_p, theta_p = np.asarray(sol.v), np.zeros(m)
-        theta_p[active] = sol.multipliers[:int(active.sum())]
-        if ((M @ v_p - r)[sign] < -tol).any() or (theta_p[sign] < -tol).any() \
-                or (v_p < v_lo - tol).any() or (v_p > v_hi + tol).any():
+        theta_p[active] = sol.multipliers
+        if ((M @ v_p - r)[sign] < -tol).any() or (theta_p[sign] < -tol).any():
             raise KKTDegeneracy("dual ascent stalled, and the polish on its active rows "
                                 "left a slack or a multiplier below -tol")
-        return v_p, np.asarray(sol.wages), theta_p, active, *clamped
+        return v_p, np.asarray(sol.wages), theta_p, active
     except (Infeasible, Unbounded, KKTDegeneracy) as exc:
         # the stalled iterate is exactly stationary: it stands if it is also
         # feasible to within tol (rounding in theta can leave |pg| there)
@@ -278,20 +259,19 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float,
                 raise
             # not a certificate: the active rows are a guess
             raise KKTDegeneracy(f"dual ascent stalled, and its active rows failed: {exc}") from None
-    return v, w, theta, active, *clamped
+    return v, w, theta, active
 
 
-def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
-                      wage_box: tuple[float, float] | None = None) -> SecondBestSolution:
+def solve_second_best(inst: ProblemInstance, target: str,
+                      tol: float = 1e-9) -> SecondBestSolution:
     """Solve the hidden-action cost-minimization program for ``target``.
 
     Args:
         inst: two or more actions, strictly positive beliefs.
         target: the action to implement.
         tol: feasibility/stationarity tolerance.  An incentive constraint
-            counts as satisfied at slack >= -tol.
-        wage_box: optional (w_min, w_max) bounds restoring compactness; never
-            applied silently.
+            counts as satisfied at slack >= -tol.  Wages are bounded by the
+            utility model's (possibly tightened) open wage domain.
 
     Raises:
         Infeasible, Unbounded, KKTDegeneracy: see errors and ``solve_dual``.
@@ -305,8 +285,7 @@ def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
     level = inst.reservation_utility + act.cost
     q, ic_rows, ic_rhs = _ic_rows(inst, target)
     M = np.vstack([q] + ic_rows)
-    v, w, theta, active, lower, upper = solve_dual(
-        delta, M, np.array([level] + ic_rhs), 0, model, tol, wage_box)
+    v, w, theta, active = solve_dual(delta, M, np.array([level] + ic_rhs), 0, model, tol)
     lam = float(theta[0])
     if lam <= 0.0:
         raise KKTDegeneracy(f"participation multiplier came out non-positive ({lam})")
@@ -325,8 +304,6 @@ def solve_second_best(inst: ProblemInstance, target: str, tol: float = 1e-9,
         expected_cost_principal=float(delta @ w),
         coincides_with_first_best=not active[1:].any(),
         foc_residuals=tuple(float(x) for x in foc),
-        lower_bound_states=tuple(int(s) for s in lower),
-        upper_bound_states=tuple(int(s) for s in upper),
     )
 
 
@@ -366,12 +343,10 @@ def dual_value(inst: ProblemInstance, target: str, lam: float, mu) -> float:
 
 def kkt_certificate(inst: ProblemInstance, target: str, sol: SecondBestSolution,
                     tol: float = 1e-8) -> KktReport:
-    """Check stationarity, feasibility, dual feasibility and complementary
-    slackness of ``sol`` at tolerance ``tol`` (wage-box-free solutions), and
-    report the duality gap cost - g(lam, mu) (see ``dual_value``)."""
-    free = [s for s in range(inst.n_states)
-            if s not in sol.lower_bound_states and s not in sol.upper_bound_states]
-    stat = max(abs(sol.foc_residuals[s]) for s in free)
+    """Check stationarity in every state, feasibility, dual feasibility and
+    complementary slackness of ``sol`` at tolerance ``tol``, and report the
+    duality gap cost - g(lam, mu) (see ``dual_value``)."""
+    stat = max(abs(x) for x in sol.foc_residuals)
     ir = abs(sol.ir_residual)
     min_slack = min(sol.ic_slacks) if sol.ic_slacks else 0.0
     min_mu = min(sol.mu) if sol.mu else 0.0

@@ -2,11 +2,13 @@
 
 Each family supplies u, u', u'', the inverse h = u^-1 with h' and h'', and the
 inverse marginal (u')^-1.  All of these are hard-coded closed forms so results
-are bit-reproducible; ``TabulatedUtility`` is an interpolation escape hatch for
-experimentation only.
+are bit-reproducible.
 
 Every method accepts a float or an ndarray and enforces the open wage domain /
-utility range, raising :class:`DomainError` outside it.
+utility range, raising :class:`DomainError` outside it.  A family's ``domain``
+may tighten its default wage domain (a None end keeps the default's); the
+solvers search on the family's own domain and check each answer against the
+tightened one.
 """
 
 from __future__ import annotations
@@ -109,21 +111,20 @@ class UtilityModel:
         lo, hi = self.utility_range
         return lo < v < hi
 
-    def _restrict_domain(self, default: tuple[float, float],
-                         requested: tuple[float, float] | None) -> tuple[float, float]:
-        """Instance files may tighten the wage domain but never widen it."""
-        if requested is None:
-            return default
-        lo, hi = float(requested[0]), float(requested[1])
-        if not (default[0] <= lo < hi <= default[1]):
-            raise ValidationError(
-                f"{self.family}: wage domain [{lo}, {hi}] must be a sub-interval "
-                f"of the family default {default}")
-        return (lo, hi)
-
-    def _set_intervals(self, domain: tuple[float, float]) -> None:
-        object.__setattr__(self, "wage_domain", domain)
-        lo, hi = domain
+    def _restrict_domain(self, default: tuple[float, float]) -> None:
+        """Set the intervals from ``domain``, which may tighten the family's
+        default wage domain but never widen it; a None end keeps the default's.
+        ``domain`` itself is normalised to None when it equals the default, and
+        to floats otherwise, so a serialized model parses back equal."""
+        lo, hi = default
+        if self.domain is not None:
+            lo, hi = (d if x is None else float(x) for x, d in zip(self.domain, default))
+            if not (default[0] <= lo < hi <= default[1]):
+                raise ValidationError(
+                    f"{self.family}: wage domain [{lo}, {hi}] must be a sub-interval "
+                    f"of the family default {default}")
+        object.__setattr__(self, "domain", None if (lo, hi) == default else (lo, hi))
+        object.__setattr__(self, "wage_domain", (lo, hi))
         object.__setattr__(self, "utility_range", (self._limit(lo), self._limit(hi)))
 
     def _limit(self, w: float) -> float:
@@ -139,12 +140,12 @@ class CaraUtility(UtilityModel):
     """
 
     r: float = 1.0
-    domain: tuple[float, float] | None = None
+    domain: tuple[float | None, float | None] | None = None
 
     def __post_init__(self):
         if not self.r > 0:
             raise ValidationError("cara: risk aversion r must be > 0")
-        self._set_intervals(self._restrict_domain((-_INF, _INF), self.domain))
+        self._restrict_domain((-_INF, _INF))
 
     @property
     def family(self) -> str:
@@ -170,10 +171,10 @@ class CaraUtility(UtilityModel):
 class LogUtility(UtilityModel):
     """u(x) = ln(x) on (0, inf); h(v) = exp(v) on all of R."""
 
-    domain: tuple[float, float] | None = None
+    domain: tuple[float | None, float | None] | None = None
 
     def __post_init__(self):
-        self._set_intervals(self._restrict_domain((0.0, _INF), self.domain))
+        self._restrict_domain((0.0, _INF))
 
     @property
     def family(self) -> str:
@@ -203,12 +204,12 @@ class CrraUtility(UtilityModel):
     """
 
     gamma: float = 2.0
-    domain: tuple[float, float] | None = None
+    domain: tuple[float | None, float | None] | None = None
 
     def __post_init__(self):
         if not (self.gamma > 0 and self.gamma != 1.0):
             raise ValidationError("crra: need gamma > 0 and gamma != 1 (use log for gamma = 1)")
-        self._set_intervals(self._restrict_domain((0.0, _INF), self.domain))
+        self._restrict_domain((0.0, _INF))
 
     @property
     def family(self) -> str:
@@ -244,10 +245,10 @@ class CrraUtility(UtilityModel):
 class SqrtUtility(UtilityModel):
     """u(x) = sqrt(x) on (0, inf); h(v) = v^2 on (0, inf)."""
 
-    domain: tuple[float, float] | None = None
+    domain: tuple[float | None, float | None] | None = None
 
     def __post_init__(self):
-        self._set_intervals(self._restrict_domain((0.0, _INF), self.domain))
+        self._restrict_domain((0.0, _INF))
 
     @property
     def family(self) -> str:
@@ -269,84 +270,12 @@ class SqrtUtility(UtilityModel):
     def _u_prime_inv(self, m): return 0.25 / (m * m)
 
 
-class TabulatedUtility(UtilityModel):
-    """u sampled on a wage grid with monotone (PCHIP) interpolation.
-
-    Experimentation escape hatch: not bit-reproducible across library versions
-    and excluded from the acceptance suite.  Requires strictly increasing,
-    strictly concave samples.
-    """
-
-    def __init__(self, wages, utilities):
-        w = np.asarray(wages, dtype=float)
-        u = np.asarray(utilities, dtype=float)
-        if w.ndim != 1 or w.shape != u.shape or len(w) < 4:
-            raise ValidationError("tabulated: need matching 1-d grids with >= 4 points")
-        if np.any(np.diff(w) <= 0) or np.any(np.diff(u) <= 0):
-            raise ValidationError("tabulated: wages and utilities must be strictly increasing")
-        if np.any(np.diff(np.diff(u) / np.diff(w)) >= 0):
-            raise ValidationError("tabulated: samples must be strictly concave")
-        from scipy.interpolate import PchipInterpolator
-
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_u_grid", u)
-        object.__setattr__(self, "_fwd", PchipInterpolator(w, u))
-        object.__setattr__(self, "_inv", PchipInterpolator(u, w))
-        object.__setattr__(self, "_fwd_d", self._fwd.derivative())
-        object.__setattr__(self, "_fwd_dd", self._fwd.derivative(2))
-        object.__setattr__(self, "_inv_d", self._inv.derivative())
-        object.__setattr__(self, "_inv_dd", self._inv.derivative(2))
-        object.__setattr__(self, "wage_domain", (float(w[0]), float(w[-1])))
-        object.__setattr__(self, "utility_range", (float(u[0]), float(u[-1])))
-
-    @property
-    def family(self) -> str:
-        return "tabulated"
-
-    def _require_wage(self, w) -> None:
-        lo, hi = self.wage_domain
-        arr = np.asarray(w, dtype=float)
-        if np.any(arr < lo) or np.any(arr > hi):
-            raise DomainError(f"tabulated: wage must lie in [{lo}, {hi}]")
-
-    def _require_utility(self, v) -> None:
-        lo, hi = self.utility_range
-        arr = np.asarray(v, dtype=float)
-        if np.any(arr < lo) or np.any(arr > hi):
-            raise DomainError(f"tabulated: utility level must lie in [{lo}, {hi}]")
-
-    def _u(self, w): return self._fwd(w)
-    def _u_prime(self, w): return self._fwd_d(w)
-    def _u_second(self, w): return self._fwd_dd(w)
-    def _h(self, v): return self._inv(v)
-    def _h_prime(self, v): return self._inv_d(v)
-    def _h_second(self, v): return self._inv_dd(v)
-
-    def _u_prime_inv(self, m):
-        # marginal is decreasing on the grid; invert by bisection per entry
-        def _one(target):
-            lo, hi = self.wage_domain
-            flo, fhi = self._fwd_d(lo), self._fwd_d(hi)
-            if not (fhi <= target <= flo):
-                raise DomainError("tabulated: marginal utility outside the sampled range")
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if self._fwd_d(mid) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        if np.ndim(m):
-            return np.array([_one(t) for t in np.asarray(m, dtype=float)])
-        return _one(float(m))
-
-
 _FAMILIES = {"cara": CaraUtility, "log": LogUtility, "crra": CrraUtility, "sqrt": SqrtUtility}
 
 
 def utility_from_name(family: str, parameters: dict | None = None,
-                      wage_domain: tuple[float, float] | None = None) -> UtilityModel:
+                      wage_domain: tuple[float | None, float | None] | None = None
+                      ) -> UtilityModel:
     """Instantiate a closed-form family by name, as used in problem files."""
     params = dict(parameters or {})
     key = family.lower()

@@ -139,9 +139,8 @@ def test_criterion_08_slack_incentive_regime():
     ok = eps_star is not None
     worst = 0.0
     if ok:
-        from beliefcontracts.compstat import _tilted_instance
         for eps in (eps_star + 1e-3, eps_star + 0.05, 0.44):
-            tilted = _tilted_instance(inst, Party.PRINCIPAL, "H", 0, 1, eps)
+            tilted = bc.ProblemInstance.tilted(inst, Party.PRINCIPAL, "H", 0, 1, eps)
             sb = bc.solve_second_best(tilted, "H")
             fb = bc.solve_first_best(tilted, "H")
             gap = abs(sb.expected_cost_principal - fb.expected_cost_principal)

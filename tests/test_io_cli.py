@@ -18,17 +18,21 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def cli_process(*argv):
-    """The CLI in a fresh interpreter that imports the package from this checkout.
+def child(*args):
+    """A fresh interpreter that imports the package from this checkout.
 
     A numpy RuntimeWarning in the child is an error there, as it is in this
     test process, so a leaked warning cannot pass unnoticed.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           "-m", "beliefcontracts.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
                           capture_output=True, text=True, env=env)
+
+
+def cli_process(*argv):
+    """The CLI in a fresh interpreter (see ``child``)."""
+    return child("-m", "beliefcontracts.cli", *argv)
 
 MINIMAL = """
 {
@@ -64,6 +68,23 @@ class TestParse:
                            bc.Distribution((0.5, 0.25, 0.25)),
                            bc.Distribution((0.6, 0.3, 0.1)))),
             -1.2345678901234567, bc.CaraUtility(r=1.5))
+        assert parse_problem(serialize_problem(inst)) == inst
+
+    @pytest.mark.parametrize("family, ends, domain", [
+        ("log", [None, 20], (0.0, 20.0)),
+        ("log", [0.5, None], (0.5, math.inf)),
+        ("log", [None, None], (0.0, math.inf)),
+        ("cara", [None, 20], (-math.inf, 20.0)),
+        ("cara", [0.5, None], (0.5, math.inf)),
+        ("cara", [None, None], (-math.inf, math.inf)),
+    ])
+    def test_null_wage_domain_end_keeps_the_family_end(self, family, ends, domain):
+        doc = json.loads(MINIMAL)
+        doc["reservation_utility"] = -0.5
+        doc["actions"][0]["cost"] = 0.1
+        doc["utility"] = {"family": family, "parameters": {}, "wage_domain": ends}
+        inst = parse_problem(json.dumps(doc))
+        assert inst.utility.wage_domain == domain
         assert parse_problem(serialize_problem(inst)) == inst
 
     def test_off_simplex_beliefs_name_the_location(self):
@@ -155,6 +176,23 @@ class TestCli:
         assert lines[0].startswith("eps,wage_0,wage_1,wage_2,lambda,mu")
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("argv", [
+        ("solve-first-best",), ("solve-second-best",), ("choose-action",),
+        ("detect-regime", "--states", "2,0", "--eps-max", "0.2"),
+    ])
+    def test_tightened_wage_domain_answers_as_the_free_file(self, tmp_path, argv):
+        # every optimal wage of this log instance lies inside its wage domain
+        # [0.5, 20], which the multiplier search's probes leave: they were
+        # refused with DomainError, and now give the free file's bytes
+        tight = DATA / "log_wage_domain.json"
+        doc = json.loads(tight.read_text())
+        del doc["utility"]["wage_domain"]
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(doc))
+        code, out = self.run(*argv, "--problem", str(tight))
+        assert code == 0
+        assert (code, out) == self.run(*argv, "--problem", str(free))
+
     def test_detect_regime(self):
         code, out = self.run("detect-regime", "--problem", str(DATA / "log_two_state.json"),
                              "--states", "0,1", "--eps-max", "0.44")
@@ -223,6 +261,19 @@ class TestCli:
         proc = cli_process("mlrp", "--f", "0.5,0.5", "--g", "0.5,0.5")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ordering"] == "equal"
+
+    def test_cli_solves_without_scipy(self):
+        # scipy is a test dependency only: with it unimportable the CLI imports
+        # and solves one instance of each family
+        script = ("import sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from beliefcontracts.cli import main\n"
+                  "for path in sys.argv[1:]:\n"
+                  "    assert main(['solve-second-best', '--problem', path]) == 0, path\n")
+        files = ("cara_three_state", "log_binding", "crra_oracle_ic_relaxation", "sqrt_two_state")
+        proc = child("-c", script, *(str(DATA / f"{name}.json") for name in files))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count('"solver": "second-best"') == len(files)
 
     def test_underflowing_first_order_scale_is_a_solver_error(self):
         # weight_s h'(v_s) underflows to 0 on this log draw; the refusal must be

@@ -138,21 +138,6 @@ def test_risk_sharing_multiplier_and_wages_match_the_closed_forms():
         assert np.asarray(got_wages) == pytest.approx(wages, rel=1e-12, abs=0.0)
 
 
-def test_tabulated_first_best_keeps_the_bisection_answer():
-    """The bracket-and-bisection search this Newton iteration replaced
-    returned these on a tabulated log utility."""
-    w = np.linspace(0.5, 6.0, 40)
-    inst = bc.ProblemInstance(
-        (1.0, 2.0, 3.0),
-        (bc.ActionSpec("a", 0.1, bc.Distribution((0.3, 0.45, 0.25)),
-                       bc.Distribution((0.2, 0.35, 0.45))),),
-        0.8, bc.TabulatedUtility(w, np.log(w)))
-    sol = bc.solve_first_best(inst, "a")
-    assert sol.lam == pytest.approx(2.2353701140317006, rel=1e-9, abs=0.0)
-    assert sol.wages == pytest.approx((1.4912122854916152, 1.7384761266380258,
-                                       4.024048134891931), rel=1e-9, abs=0.0)
-
-
 def test_ir_only_needs_few_residual_evaluations(monkeypatch):
     """Bracket search plus safeguarded Newton: at most 8 residual evaluations
     (one inverse_marginal call each) per solve on average; bisecting the

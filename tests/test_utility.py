@@ -131,23 +131,6 @@ class TestFactory:
             bc.utility_from_name("quadratic")
 
 
-class TestTabulated:
-    def make(self):
-        w = np.linspace(0.5, 6.0, 40)
-        return bc.TabulatedUtility(w, np.log(w))
-
-    def test_tracks_samples(self):
-        # interpolation accuracy only: the hatch is for experimentation
-        m = self.make()
-        assert m.evaluate(2.0) == pytest.approx(math.log(2.0), abs=1e-4)
-        assert m.inverse(m.evaluate(3.0)) == pytest.approx(3.0, abs=1e-3)
-
-    def test_requires_concavity(self):
-        w = np.linspace(0.5, 6.0, 40)
-        with pytest.raises(bc.ValidationError):
-            bc.TabulatedUtility(w, w ** 2)
-
-
 GUARDED_MODELS = ALL_MODELS + [
     bc.LogUtility(domain=(1.0, 5.0)),
     bc.CaraUtility(r=1.0, domain=(-1.0, 2.0)),
