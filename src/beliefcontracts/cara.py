@@ -182,13 +182,20 @@ def solve_w1(sys: CaraSystem, tol: float = 1e-12) -> float:
     upper end, so ``branch_interval`` is the sign bracket; on an unbounded
     branch (r2 <= 0) doubling steps from the floor find the negative end.
     ``kernel.rtsafe`` then takes Newton steps on ``_pivot_slope`` until the
-    correction is at most tol/2 * max(1, |w1|) or the bracket at most
-    tol * max(1, |w1|) wide, and returns the evaluated w1 with the smallest
-    |gap|.  NoRootInBranch when rounding leaves an end on the wrong side.
+    correction is at most tol/2 * max(1, |w1|) / A or the bracket at most
+    tol * max(1, |w1|) / A wide, A = max(1, |dw2/dw1|, |dw3/dw1|) (+inf at a
+    branch end; the larger of the bracket's), so the tolerance bounds the
+    wages, and returns the evaluated w1 with the smallest |gap|.
+    NoRootInBranch when rounding leaves an end on the wrong side.
     """
     def point(w1: float):
         gap = _pivot_gap(sys, w1)
         return w1, gap, gap > 0.0
+
+    def slope_bound(w1: float) -> float:     # A, from w2_from_w1 and w3_from_w1
+        x = math.exp(-w1)
+        d2, d3 = sys.r3 - sys.kappa31 * x, sys.kappa21 * x - sys.r2
+        return max(1.0, sys.kappa31 * x / d2, sys.kappa21 * x / d3) if d2 > 0.0 < d3 else math.inf
 
     lo, hi = branch_interval(sys)
     a = point(lo)
@@ -206,8 +213,8 @@ def solve_w1(sys: CaraSystem, tol: float = 1e-12) -> float:
     if not (a[2] and b[1] < 0.0):
         raise NoRootInBranch("pivot equation does not change sign on the branch")
     return rtsafe(point, lambda cur: _pivot_slope(sys, cur[0]), a, b,
-                  lambda x: 0.5 * tol * max(1.0, abs(x)),
-                  lambda x, y: tol * max(1.0, abs(y)))[0]
+                  lambda x: 0.5 * tol * max(1.0, abs(x)) / slope_bound(x),
+                  lambda x, y: tol * max(1.0, abs(y)) / max(slope_bound(x), slope_bound(y)))[0]
 
 
 def multipliers(sys: CaraSystem, wages) -> tuple[float, float]:

@@ -9,8 +9,9 @@ space v_s = u(w_s), is
 
 Participation always binds.  ``solve_dual`` maximizes the program's concave
 dual, one multiplier per constraint, by projected Newton ascent from the pure
-risk-sharing contract, which it returns when no incentive constraint fails
-there.  Dual stationarity is the paper's first-order condition
+risk-sharing contract, which is its answer when no incentive constraint fails
+there, and returns only a point that passes ``kkt_certificate``'s checks.
+Dual stationarity is the paper's first-order condition
 delta_s h'(v_s) = lam q_s + sum_i mu_i (q_s - q^i_s), so lam and mu are the
 dual iterate (or a polish's fit, see kernel).  The principal's beliefs about
 non-target actions never enter the contract, only the action choice.  The
@@ -19,13 +20,13 @@ spread decomposition's inner programs (see iterative) run on ``solve_dual``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .beliefs import (MlrpOrder, Monotonicity, ProblemInstance, mlrp_compare)
-from .errors import (DimensionError, DomainError, Infeasible, KKTDegeneracy,
-                     Unbounded, ValidationError)
+from .errors import (DimensionError, Infeasible, KKTDegeneracy, Unbounded,
+                     ValidationError)
 from .first_best import classify_monotonicity, solve_first_best
 from .kernel import minimize_on_affine, solve_ir_only
 
@@ -78,9 +79,9 @@ def _ic_rows(inst: ProblemInstance, target: str):
 def risk_sharing(inst: ProblemInstance, target: str):
     """(v, lam, incentive slacks) of the risk-sharing contract for ``target``.
 
-    This is the contract ``solve_dual`` starts from and returns when no slack
-    is below -tol (the same ``solve_ir_only`` call and the same slacks, row by
-    row); past that test some incentive multiplier stays positive, or v would
+    This is the contract ``solve_dual`` starts from and its only candidate
+    when no slack is below -tol (the same ``solve_ir_only`` call and the same
+    slacks, row by row); past that test some incentive multiplier stays positive, or v would
     be this contract.  So wherever ``solve_second_best(inst, target, tol)``
     returns, ``coincides_with_first_best`` holds exactly when no slack here is
     below -tol, and then its utility levels, lam and ic_slacks are these.
@@ -92,75 +93,108 @@ def risk_sharing(inst: ProblemInstance, target: str):
     return v, lam, tuple(float(row @ v - rv) for row, rv in zip(rows, rhs))
 
 
+def _dual_point(theta, weights, M, r, model):
+    """(theta, w, v, low, high, grad = r - M v, dual value weights.w + theta.grad)
+    at theta: v_s = u((u')^-1(weights_s / c_s)), c = M^T theta, clamped (low,
+    high) to a finite end of ``model``'s range; None past an infinite end."""
+    (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        marg = weights / (M.T @ theta)
+        ok = (marg > 0.0) & (marg < np.inf)
+        w = model.inverse_marginal(marg) if ok.all() else np.where(
+            ok, model.inverse_marginal(np.where(ok, marg, 1.0)), w_lo)
+        low, high = ~ok | (w <= w_lo), w >= w_hi
+        clamped = low | high
+        if not clamped.any():
+            v = model.evaluate(w)
+        elif (low.any() and v_lo == -np.inf) or (high.any() and v_hi == np.inf):
+            return None
+        else:
+            w[low], w[high] = w_lo, w_hi
+            v = np.where(low, v_lo, v_hi)
+            v[~clamped] = model.evaluate(w[~clamped])
+        if not np.isfinite(v).all():
+            return None
+    grad = r - M @ v
+    return theta, w, v, low, high, grad, float(weights @ w + theta @ grad)
+
+
+def _kkt_checks(foc, binding, slacks, mu, tol: float, kkt_tol: float):
+    """``KktReport``'s first five numbers and the first check failed (None if
+    none): binding rows (participation, equalities) within tol, incentive
+    slacks >= -tol, then stationarity, multipliers >= 0 and |mu slack| within
+    kkt_tol.  Sequences of floats: few enough that numpy would only add cost."""
+    numbers = (max(map(abs, foc)), max(map(abs, binding)), min(slacks, default=0.0),
+               min(mu, default=0.0), max((abs(m * s) for m, s in zip(mu, slacks)), default=0.0))
+    stat, resid, min_slack, min_mu, comp = numbers
+    return numbers, next((name for name, ok in (
+        ("a binding-row residual", resid <= tol), ("incentive feasibility", min_slack >= -tol),
+        ("stationarity", stat <= kkt_tol), ("multiplier sign", min_mu >= -kkt_tol),
+        ("complementary slackness", comp <= kkt_tol)) if not ok), None)
+
+
 def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     """Minimize sum_s weights_s h(v_s) s.t. M_i v >= r_i on the first
     m - n_eq rows (row 0 is participation), M_i v = r_i on the last n_eq and
     wages in ``model.wage_domain``, by projected Newton ascent on the concave
-    dual (Bertsekas, *SIAM J. Control Optim.* 20, 1982).
+    dual (Bertsekas, *SIAM J. Control Optim.* 20, 1982) on the family's own
+    domain (h is strictly convex, so the tightened optimum is the family's).
 
-    At theta (>= 0 on the inequality rows) state s takes v_s =
-    u((u')^-1(weights_s / c_s)), c = M^T theta, clamped to a finite end of
-    the model's range (a trial past an infinite end is rejected), so only
-    M v >= r is iterated, from the risk-sharing multiplier of
-    ``solve_ir_only`` (returned as is when its wages lie inside the model's
-    domain and nothing else fails by over tol).
-    A step solves (M_F D M_F^T + tau I) d = grad_F, grad = r - M v,
-    D = 1 / (weights h''(v)) on unclamped states, tau = 1e-10 min(1, |pg|)
-    max diag, off the binding set (theta_i <= eps with grad_i <= 0, or 0 with
-    d_i < 0; there d_i = -theta_i), and halves alpha in P(theta + alpha d)
-    until the dual value rises by Armijo's rule (at its rounding level: until
-    the projected gradient pg shrinks).  It stops at |pg| <= 1e-12 max(1, |r|)
-    with sum |theta pg| <= tol, trying full steps only below that |pg|.
-    Otherwise, after 20 steps, ``minimize_on_affine`` polishes v(theta) on
-    the active rows, kept at slacks and multipliers >= -tol; failing that,
-    the iterate stands if |pg| <= tol.  Returns (v, wages, theta, active rows).
+    At theta (>= 0 on the inequality rows) each state takes ``_dual_point``'s
+    v_s, so only M v >= r is iterated, from the risk-sharing multiplier of
+    ``solve_ir_only``.  A step solves (M_F D M_F^T + tau I) d = grad_F,
+    grad = r - M v, D = 1 / (weights h''(v)) on unclamped states,
+    tau = 1e-10 min(1, |pg|) max diag, off the binding set (theta_i <= eps
+    with grad_i <= 0, or 0 with d_i < 0; there d_i = -theta_i), and halves
+    alpha in P(theta + alpha d) until the dual value rises by Armijo's rule
+    (at its rounding level: until the projected gradient pg shrinks).  It
+    stops at |pg| <= 1e-12 max(1, |r|) with sum |theta pg| <= tol, trying
+    full steps only below that |pg|.  The candidates are the risk-sharing
+    contract when no incentive slack is below -tol, else the converged point,
+    else (after 20 steps) ``minimize_on_affine``'s polish of v(theta) on the
+    active rows and then the stalled iterate; the first that passes
+    ``kkt_certificate``'s checks at (tol, 1e-8), on the expressions
+    ``solve_second_best`` reports, is returned as (v, wages, theta, active rows).
 
     Infeasible when d = theta or a Newton step, >= 0 on the inequality rows,
     has d.r > sum_s max(c_s lo, c_s hi), c = M^T d, above the d.r <= c.v of
     any feasible v (Farkas; Boyd & Vandenberghe, *Convex Optimization*,
-    section 5.8), or at |theta| > 1e12 (divergence).  KKTDegeneracy with a
-    state clamped at an end of the model's range (the domain is open, a
-    tightened one too) or a failed polish.
+    section 5.8), or at |theta| > 1e12 (divergence).  KKTDegeneracy for a
+    candidate wage at an end of ``model.wage_domain`` (a boundary optimum),
+    or when no candidate passes: the polish's own if it raised one, else one
+    naming each candidate's failed check.
     """
     weights = np.asarray(weights, dtype=float)
     M = np.asarray(M, dtype=float)
     r = np.asarray(r, dtype=float)
     m, S = M.shape
-    sign = np.arange(m) < m - n_eq
-    (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
+    n_ineq = m - n_eq
+    sign = np.arange(m) < n_ineq
+    family = replace(model, domain=None) if model.domain is not None else model
+    (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, family.utility_range
+
+    def failed_check(v, w, theta):
+        """The first check the candidate fails, None if it passes them all."""
+        if not ((w > w_lo) & (w < w_hi)).all():
+            raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
+                                "conditions fail (no interior solution exists)")
+        resid = [float(row @ v - rv) for row, rv in zip(M, r)]
+        foc = (weights - (theta @ M) * np.asarray(model.marginal(w), dtype=float)) / weights
+        return _kkt_checks(foc.tolist(), resid[:1] + resid[n_ineq:], resid[1:n_ineq],
+                           theta[1:n_ineq].tolist(), tol, 1e-8)[1]
 
     v, w, lam = solve_ir_only(weights, M[0], model, r[0])
     theta = np.zeros(m)
     theta[0] = lam
-    inside = bool(((w > w_lo) & (w < w_hi)).all())
-    if n_eq == 0 and inside and all(row @ v - rv >= -tol for row, rv in zip(M[1:], r[1:])):
-        return v, w, theta, np.arange(m) == 0
+    grad = r - M @ v
+    no = np.zeros(S, bool)
+    cur = (theta, w, v, no, no, grad, float(weights @ w + theta @ grad))
+    # the risk-sharing contract is the candidate when nothing else fails by over tol
+    converged = n_eq == 0 and all(row @ v - rv >= -tol for row, rv in zip(M[1:], r[1:]))
 
     abs_MT = np.abs(M.T)
     floor = np.where(sign, 0.0, -np.inf)     # theta >= 0 on the inequality rows
     r_scale = max(1.0, float(np.abs(r).max()))
-
-    def point(theta):
-        """(theta, w, v, low, high, grad, dual value), or None past an infinite end."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            marg = weights / (M.T @ theta)
-            ok = (marg > 0.0) & (marg < np.inf)
-            w = model.inverse_marginal(marg) if ok.all() else np.where(
-                ok, model.inverse_marginal(np.where(ok, marg, 1.0)), w_lo)
-            low, high = ~ok | (w <= w_lo), w >= w_hi
-            clamped = low | high
-            if not clamped.any():
-                v = model.evaluate(w)
-            elif (low.any() and v_lo == -np.inf) or (high.any() and v_hi == np.inf):
-                return None
-            else:
-                w[low], w[high] = w_lo, w_hi
-                v = np.where(low, v_lo, v_hi)
-                v[~clamped] = model.evaluate(w[~clamped])
-            if not np.isfinite(v).all():
-                return None
-        grad = r - M @ v
-        return theta, w, v, low, high, grad, float(weights @ w + theta @ grad)
 
     def certifies(d) -> bool:
         """The Farkas test above; entries of c within rounding of 0 count as 0."""
@@ -178,13 +212,7 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
         theta, grad = cur[0], cur[5]
         return np.where(sign & (theta <= 0.0) & (grad <= 0.0), 0.0, grad)
 
-    if inside:      # v(theta) is the risk-sharing contract, as solve_ir_only evaluated it
-        grad = r - M @ v
-        no = np.zeros(S, bool)
-        cur = (theta, w, v, no, no, grad, float(weights @ w + theta @ grad))
-    else:           # some wage clamped at a tightened domain end, so never None
-        cur = point(theta)
-    for step in range(_MAX_DUAL + 1):
+    for step in range(0 if converged else _MAX_DUAL + 1):
         theta, w, v, low, high, grad, value = cur
         pg = projected(cur)
         pg_norm = float(np.abs(pg).max())
@@ -200,7 +228,7 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
             raise Infeasible(_EMPTY)
         free = ~(low | high)
         Mf = M[:, free]
-        J = (Mf / (weights[free] * model.inverse_second_derivative(v[free]))) @ Mf.T
+        J = (Mf / (weights[free] * family.inverse_second_derivative(v[free]))) @ Mf.T
         binding = sign & (theta <= min(1e-3, pg_norm)) & (grad <= 0.0)
         try:
             while True:     # a row at 0 that the step would push below joins the binding set
@@ -220,7 +248,7 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
         alpha = 1.0
         for _ in range(1 if small else 60):
             trial = np.maximum(theta + alpha * d, floor)
-            nxt = point(trial)
+            nxt = _dual_point(trial, weights, M, r, family)
             if nxt is not None:
                 # Armijo, or at the dual value's rounding level a smaller |pg|
                 gain = nxt[6] - value
@@ -234,32 +262,27 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
             break
         cur = nxt
 
-    theta, w, v, low, high, _, _ = cur
-    if low.any() or high.any():
-        raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
-                            "conditions fail (no interior solution exists)")
+    theta, w, v = cur[:3]
     active = ~sign | (theta > 0.0)
     active[0] = True
-    if converged:
-        return v, w, theta, active
-
-    try:
-        sol = minimize_on_affine(weights, M[active], r[active], model, v)
-        v_p, theta_p = np.asarray(sol.v), np.zeros(m)
-        theta_p[active] = sol.multipliers
-        if ((M @ v_p - r)[sign] < -tol).any() or (theta_p[sign] < -tol).any():
-            raise KKTDegeneracy("dual ascent stalled, and the polish on its active rows "
-                                "left a slack or a multiplier below -tol")
-        return v_p, np.asarray(sol.wages), theta_p, active
-    except (Infeasible, Unbounded, KKTDegeneracy) as exc:
-        # the stalled iterate is exactly stationary: it stands if it is also
-        # feasible to within tol (rounding in theta can leave |pg| there)
-        if pg_norm > tol:
-            if isinstance(exc, KKTDegeneracy):
-                raise
-            # not a certificate: the active rows are a guess
-            raise KKTDegeneracy(f"dual ascent stalled, and its active rows failed: {exc}") from None
-    return v, w, theta, active
+    candidates, error = [("dual", v, w, theta)], None
+    if not converged:
+        try:
+            sol = minimize_on_affine(weights, M[active], r[active], family, v)
+            theta_p = np.zeros(m)
+            theta_p[active] = sol.multipliers
+            candidates.insert(0, ("polished", np.asarray(sol.v), np.asarray(sol.wages), theta_p))
+        except (Unbounded, KKTDegeneracy) as exc:
+            error = exc
+    failures = []
+    for name, *cand in candidates:
+        failed = failed_check(*cand)
+        if failed is None:
+            return (*cand, active)
+        failures.append(f"the {name} point fails {failed}")
+    if isinstance(error, KKTDegeneracy):
+        raise error
+    raise KKTDegeneracy("no candidate passes the KKT checks: " + "; ".join(failures))
 
 
 def solve_second_best(inst: ProblemInstance, target: str,
@@ -309,7 +332,8 @@ def solve_second_best(inst: ProblemInstance, target: str,
 
 @dataclass(frozen=True)
 class KktReport:
-    """KKT certificate of a second-best solution (``passed`` ignores the gap)."""
+    """KKT certificate of a second-best solution: the checks ``solve_dual``
+    accepts a point by, at one tolerance (``passed`` ignores the gap)."""
 
     stationarity_max: float
     ir_abs: float
@@ -322,42 +346,29 @@ class KktReport:
 
 def dual_value(inst: ProblemInstance, target: str, lam: float, mu) -> float:
     """The Lagrange dual g(lam, mu) = theta . r + sum_s min_v [delta_s h(v) - c_s v],
-    c = M^T theta: a lower bound on the optimal cost for theta >= 0 (Boyd &
-    Vandenberghe, *Convex Optimization*, section 5.2), from the utility closed
-    forms alone; -inf (trivial) unless every delta_s / c_s is positive and finite.
+    c = M^T theta, v over the family's closed utility range: a lower bound on
+    the optimal cost for theta >= 0 (Boyd & Vandenberghe, *Convex
+    Optimization*, section 5.2), at ``solve_dual``'s ``_dual_point`` (a state
+    clamped at a finite end takes that end's term); -inf past an infinite end.
     """
     act = inst.action(target)
-    delta = act.principal_beliefs.as_array()
     q, rows, rhs = _ic_rows(inst, target)
-    theta = np.array([lam, *mu], dtype=float)
-    c = theta @ np.vstack([q] + rows)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        marg = delta / c
-        if not ((marg > 0.0) & (marg < np.inf)).all():
-            return -np.inf
-        w = np.asarray(inst.utility.inverse_marginal(marg), dtype=float)
-        v = np.asarray(inst.utility.evaluate(w), dtype=float)
-    return float(theta @ np.array([inst.reservation_utility + act.cost] + rhs)
-                 + delta @ w - c @ v)
+    cur = _dual_point(np.array([lam, *mu], dtype=float), act.principal_beliefs.as_array(),
+                      np.vstack([q] + rows),
+                      np.array([inst.reservation_utility + act.cost] + rhs),
+                      replace(inst.utility, domain=None))
+    return -np.inf if cur is None else cur[6]
 
 
 def kkt_certificate(inst: ProblemInstance, target: str, sol: SecondBestSolution,
                     tol: float = 1e-8) -> KktReport:
     """Check stationarity in every state, feasibility, dual feasibility and
-    complementary slackness of ``sol`` at tolerance ``tol``, and report the
-    duality gap cost - g(lam, mu) (see ``dual_value``)."""
-    stat = max(abs(x) for x in sol.foc_residuals)
-    ir = abs(sol.ir_residual)
-    min_slack = min(sol.ic_slacks) if sol.ic_slacks else 0.0
-    min_mu = min(sol.mu) if sol.mu else 0.0
-    comp = max((abs(m * s) for m, s in zip(sol.mu, sol.ic_slacks)), default=0.0)
-    passed = (stat <= tol and ir <= tol and min_slack >= -tol
-              and min_mu >= -tol and comp <= tol)
-    try:
-        gap = sol.expected_cost_principal - dual_value(inst, target, sol.lam, sol.mu)
-    except DomainError:     # a wage outside the closed forms' domain
-        gap = np.nan
-    return KktReport(stat, ir, min_slack, min_mu, comp, passed, gap)
+    complementary slackness of ``sol``'s reported residuals at tolerance
+    ``tol``, and report the duality gap cost - g(lam, mu) (see ``dual_value``)."""
+    numbers, failed = _kkt_checks(sol.foc_residuals, (sol.ir_residual,), sol.ic_slacks,
+                                  sol.mu, tol, tol)
+    gap = sol.expected_cost_principal - dual_value(inst, target, sol.lam, sol.mu)
+    return KktReport(*numbers, failed is None, gap)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,16 @@ Beside each op's verdict, a choose_action op records one direct
 verdict of solve_mix, every returned contract records its wages and
 ``kkt_certificate``'s stationarity_max, a detect_regime_change op that
 returned an eps records it, an equivalence_report op that returned
-records its m* and iterative cost, and a cara_compstat op that returned
-records its wage paths.  The report prints every verdict transition,
-with stationarity_max before and after when both sides returned a contract,
-the certified count of each side, the largest relative wage move
+records its m* and iterative cost, and a sweep or cara_compstat op that
+returned records its wage paths (a sweep also its failed rows).  The
+report prints every verdict transition and every change in a sweep's failed
+rows, with stationarity_max before and after when both sides returned a
+contract, the certified count of each side, the largest relative wage move
 max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify (and,
-over a whole wage path, among the cara_compstat ops both sides answer), and
-the largest |eps*' - eps*|, |m*' - m*| / |m*| and |cost' - cost| / |cost|
-among the answers both sides give.  Not collected by pytest (no ``test_`` prefix).
+over a whole wage path, among the sweep and the cara_compstat ops both sides
+answer, on the rows both sides solved), and the largest |eps*' - eps*|,
+|m*' - m*| / |m*| and |cost' - cost| / |cost| among the answers both sides
+give.  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from pathlib import Path
 import numpy as np
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-DRIVER_KINDS = ("choose_action_2", "choose_action_3", "oracle_audit_3", "oracle_audit_4",
-                "detect_regime_change", "cara_compstat", "equivalence_report")
+DRIVER_KINDS = ("sweep_second_best", "sweep_first_best", "choose_action_2", "choose_action_3",
+                "oracle_audit_3", "oracle_audit_4", "detect_regime_change", "cara_compstat",
+                "equivalence_report")
 
 
 def _solve_record(checks, bc, doc, inst, target, outcome) -> dict:
@@ -100,6 +103,9 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
             out[str(i)].update(m_star=outcome.m_star, cost=outcome.cost_iterative)
         if isinstance(outcome, bc.CaraSweep):
             out[str(i)]["cara_wages"] = [list(row) for row in outcome.wages]
+        if isinstance(outcome, bc.SweepResult):
+            out[str(i)].update(sweep_wages=[list(row) for row in outcome.wage_paths],
+                               failed_rows=list(outcome.failed_rows))
         if case["kind"].startswith("choose_action"):
             inst = case["inst"]
             for act in inst.actions:
@@ -130,6 +136,8 @@ def compare(label: str, old: dict, new: dict) -> None:
             if "stationarity_max" in a and "stationarity_max" in b:
                 stat = f"  stationarity_max {a['stationarity_max']:.3g} -> {b['stationarity_max']:.3g}"
             print(f"  {key}: {a['verdict']} -> {b['verdict']}{stat}")
+        if "failed_rows" in a and "failed_rows" in b and a["failed_rows"] != b["failed_rows"]:
+            print(f"  {key}: failed rows {a['failed_rows']} -> {b['failed_rows']}")
     for side, recs in (("old", old), ("new", new)):
         counts = Counter(r["verdict"] for r in recs.values())
         print(f"  {side}: " + ", ".join(f"{v} {n}" for v, n in sorted(counts.items())))
@@ -142,15 +150,19 @@ def compare(label: str, old: dict, new: dict) -> None:
                 worst, where = move, key
     print(f"  largest relative wage move among solves both certify: {worst:.3g}"
           + (f" (op {where})" if where else ""))
-    cara = []
-    for key in old:
-        if "cara_wages" in old[key] and "cara_wages" in new[key]:
-            w0, w1 = (np.asarray(side[key]["cara_wages"]) for side in (old, new))
-            cara.append((float(np.max(np.abs(w1 - w0)) / np.max(np.abs(w0))), key))
-    if cara:
-        move, where = max(cara)
-        print(f"  largest relative cara_compstat wage move among {len(cara)} answers both "
-              f"sides give: {move:.3g} (op {where})")
+    for field, kind in (("sweep_wages", "sweep"), ("cara_wages", "cara_compstat")):
+        paths = []
+        for key in old:
+            if field in old[key] and field in new[key]:
+                w0, w1 = (np.asarray(side[key][field], dtype=float) for side in (old, new))
+                both = np.isfinite(w0).all(axis=1) & np.isfinite(w1).all(axis=1)
+                if both.any():
+                    w0, w1 = w0[both], w1[both]
+                    paths.append((float(np.max(np.abs(w1 - w0)) / np.max(np.abs(w0))), key))
+        if paths:
+            move, where = max(paths)
+            print(f"  largest relative {kind} wage-path move among {len(paths)} answers both "
+                  f"sides give: {move:.3g} (op {where})")
     for field, what, relative in (("eps_star", "eps*", False), ("m_star", "relative m*", True),
                                   ("cost", "relative cost", True)):
         moves = [(abs(new[key][field] - old[key][field])

@@ -155,6 +155,20 @@ class TestSolve:
         assert np.mean(counts) <= 6.5
         assert max(counts) <= 8
 
+    def test_wages_within_tol_of_the_root(self):
+        # w2 and w3 follow from w1 with slopes up to about 950 near the branch
+        # floor, so the stop rule divides its tolerances by the larger slope:
+        # every wage stays within tol * max(1, max |w|) of the tol = 1e-15
+        # contract (at most 0.5 tol on these draws; up to 9.4 tol when only
+        # w1 was bounded)
+        rng = np.random.default_rng(44)
+        for _ in range(60):
+            sys_ = cara_system_draw(rng)
+            ref = np.array(bc.solve_system(sys_, tol=1e-15).wages)
+            for tol in (1e-6, 1e-9, 1e-12):
+                w = np.array(bc.solve_system(sys_, tol=tol).wages)
+                assert np.abs(w - ref).max() <= tol * max(1.0, np.abs(ref).max())
+
     def test_matches_numeric_second_best(self):
         rng = np.random.default_rng(41)
         for _ in range(20):

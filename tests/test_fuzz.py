@@ -105,8 +105,9 @@ def test_every_outcome_is_certified_lp_confirmed_or_a_counted_refusal():
 
 
 #: sqrt and crra(0.5) optima at the wage floor (the limited-liability corner,
-#: refused as boundary optima) and log draws whose polish stays above a
-#: relative stationarity of 1e-8
+#: refused as boundary optima) and log draws on which the dual stalls and
+#: neither the polished point nor the stalled iterate passes the certificate's
+#: checks (the polish stays above a stationarity of 1e-8)
 EXPECTED_REFUSALS = {
     ("crra_low", "KKTDegeneracy"): 69,
     ("sqrt", "KKTDegeneracy"): 66,

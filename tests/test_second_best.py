@@ -193,19 +193,17 @@ class TestThreeActionFixtures:
             bc.solve_second_best(inst, "H")
 
 
-def test_duality_gap_certifies_a_log_contract_its_residuals_do_not():
+def test_log_contract_that_fails_its_certificate_is_refused_by_name():
     # driver_mix seed 9109 op 2156, H: a working set whose solve never became
-    # stationary returned lam = 1.3e-268 and wages up to 4.8e278.  The cost is
-    # the SLSQP minimum 4.248758307940313 (scipy, ftol 1e-15); the stationarity
-    # residual stays near 1.5e-8 in the state paid 1.1e-8, so the certificate
-    # does not pass, but the contract is feasible and the duality gap is at
-    # rounding level
+    # stationary returned lam = 1.3e-268 and wages up to 4.8e278.  The dual
+    # stalls here, and its polish reaches the SLSQP minimum 4.248758307940313
+    # (scipy, ftol 1e-15) with a duality gap at rounding level, but at a
+    # stationarity of 1.7e-8 in the state paid 1.1e-8: over the certificate's
+    # 1e-8, so no point is returned (a gap-based certificate would pass it)
     inst = bc.load_problem(DATA / "log_unstationary_working_set.json")
-    sol = bc.solve_second_best(inst, "H")
-    report = bc.kkt_certificate(inst, "H", sol, tol=1e-8)
-    assert sol.expected_cost_principal == pytest.approx(4.248758307940313, rel=1e-9, abs=0.0)
-    assert report.ir_abs <= 1e-12 and report.min_ic_slack >= -1e-12
-    assert abs(report.duality_gap) <= 1e-13
+    with pytest.raises(bc.KKTDegeneracy,
+                       match="the polished point fails stationarity; the dual point fails"):
+        bc.solve_second_best(inst, "H")
 
 
 def test_duality_gap_is_small_on_certified_contracts():
@@ -222,13 +220,12 @@ def test_duality_gap_is_small_on_certified_contracts():
 
 
 def test_wage_domain_tightened_around_the_free_answer_keeps_it(monkeypatch):
-    # solve_mix draws 1..300 of seed 777, each one the free solve answers (214)
+    # solve_mix draws 1..300 of seed 777, each one the free solve answers (213)
     # re-solved with its wage domain tightened around the free wages: lower end
-    # min w / 2 (min w - 1 for cara), upper end 2 |max w| + max w + 1.  The
-    # multiplier search runs on the family's own domain, so a probe leaving the
-    # tightened one no longer raises DomainError (22 did).  One draw stays
-    # refused as KKTDegeneracy ("constraint set only meets the utility range at
-    # its boundary") although its free optimum lies inside the domain.
+    # min w / 2 (min w - 1 for cara), upper end 2 |max w| + max w + 1.  Both
+    # the multiplier search and the dual run on the family's own domain, so a
+    # probe leaving the tightened one neither raises DomainError (22 did) nor
+    # steers the answer: every re-solve returns the free wages.
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
@@ -253,7 +250,64 @@ def test_wage_domain_tightened_around_the_free_answer_keeps_it(monkeypatch):
         answered += 1
         assert bc.kkt_certificate(tight, target, sol, tol=1e-8).passed, i
         assert max(abs(a - b) for a, b in zip(sol.wages, w)) <= 1e-9 * max(map(abs, w)), i
-    assert answered + refused == 214 and refused <= 1
+    assert answered + refused == 213 and refused == 0
+
+
+def test_dual_value_at_a_floor_clamped_state_is_a_finite_lower_bound():
+    # sqrt, two states: at (lam, 3 mu) of the certified contract, c_0 =
+    # lam q_0 + 3 mu (q_0 - q^L_0) < 0, so state 0's term is its floor value
+    # delta_0 w_lo - c_0 v_lo = 0 and state 1's is -c_1^2 / (4 delta_1)
+    inst = bc.load_problem(DATA / "sqrt_two_state.json")
+    sol = bc.solve_second_best(inst, "H")
+    assert bc.kkt_certificate(inst, "H", sol, tol=1e-8).passed
+    lam, mu = sol.lam, 3.0 * sol.mu[0]
+    q, q_low, delta = np.array([0.3, 0.7]), np.array([0.6, 0.4]), np.array([0.35, 0.65])
+    c = lam * q + mu * (q - q_low)
+    assert c[0] < 0.0
+    g = bc.second_best.dual_value(inst, "H", lam, [mu])
+    assert g == pytest.approx(lam * 1.3 + mu * 0.5 - c[1] ** 2 / (4.0 * delta[1]), rel=1e-12)
+    assert g <= sol.expected_cost_principal
+
+
+@pytest.mark.parametrize("seed, i, target", [
+    (12001, 287, None), (12001, 527, None), (12002, 247, None), (12003, 1337, None),
+    (5151, 1418, "M"),
+])
+def test_stalled_log_draws_refuse_or_pass_their_certificate(monkeypatch, seed, i, target):
+    # log draws of the benchmark (solve_mix ops, and driver_mix op 1418's
+    # choose_action_3 instance with target M) on which the dual stalls and
+    # the stalled iterate fails complementary slackness alone (max |mu slack|
+    # 1.1e-8 to 5.3e-4, mu up to 1.9e7): a returned contract must pass its
+    # certificate, so each is now refused
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    doc = workloads.driver_op(seed, i)["problem"] if target else workloads.solve_mix_doc(seed, i)
+    inst = bc.parse_problem(workloads.dumps(doc))
+    target = target or max(inst.actions, key=lambda a: a.cost).name
+    try:
+        sol = bc.solve_second_best(inst, target)
+    except bc.KKTDegeneracy:
+        return
+    assert bc.kkt_certificate(inst, target, sol, tol=1e-8).passed
+
+
+@pytest.mark.parametrize("i", [324, 354, 462, 509, 624, 824, 869, 934, 1037, 1139, 1272])
+def test_tightened_domain_with_the_free_optimum_inside_keeps_it(monkeypatch, i):
+    # solve_mix draws of seed 777 (log and crra gamma = 2) that pay one state
+    # far less than the rest; with the domain's floor at half that wage, a dual
+    # run on the tightened domain clamped there on the way and was refused
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    doc = workloads.solve_mix_doc(777, i)
+    inst = bc.parse_problem(workloads.dumps(doc))
+    target = max(inst.actions, key=lambda a: a.cost).name
+    w = bc.solve_second_best(inst, target).wages
+    doc["utility"]["wage_domain"] = [0.5 * min(w), 2 * abs(max(w)) + max(w) + 1.0]
+    tight = bc.parse_problem(workloads.dumps(doc))
+    sol = bc.solve_second_best(tight, target)
+    assert max(abs(a - b) for a, b in zip(sol.wages, w)) <= 1e-9 * max(map(abs, w))
 
 
 def many_action_draw(k: int):
