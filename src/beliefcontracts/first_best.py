@@ -5,8 +5,8 @@ With the action contractible the program is
     min  sum_s pi^P_s(a) w_s   s.t.   sum_s pi^A_s(a) u(w_s) - c(a) >= ubar,
 
 whose first-order condition pi^P_s = lam * pi^A_s * u'(w_s) pins wages once
-the participation multiplier lam is known; the participation constraint binds
-and its residual is strictly increasing in lam.
+the participation multiplier lam is known; the participation constraint binds,
+and for every family lam has a closed form (``kernel.solve_ir_only``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def solve_first_best(inst: ProblemInstance, action: str) -> FirstBestSolution:
         action: name of the action to implement.
 
     Raises:
-        NoBracket: required utility level unreachable for the utility family.
+        NoBracket: required utility level outside the family's range, or
+            level not reachable in double precision.
         DomainError: propagated from the utility model.
     """
     inst.require_positive_beliefs()

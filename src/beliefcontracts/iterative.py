@@ -168,7 +168,7 @@ def inner_cost(sp: SpreadProblem, m: float, tol: float = 1e-9) -> InnerSolution:
     """
     weights = sp.reduced_delta
     ir_rhs, ic_rhs = _shifted_rhs(sp, m)
-    v, w, (lam, mu), active = solve_dual(
+    v, w, (lam, mu), active, _, _ = solve_dual(
         weights, np.vstack([sp.reduced_pi, sp.reduced_pi - sp.reduced_eta]),
         np.array([ir_rhs, ic_rhs]), 0, sp.base.utility, tol)
     return InnerSolution(m=float(m), cost=float(weights @ w), wages=tuple(float(x) for x in w),
@@ -197,7 +197,7 @@ def _pinned_inner(sp: SpreadProblem, m: float, tol: float) -> _PinnedInner:
     """4-state solve with the spread v_4 - v_3 = m pinned as an equality (the
     last row)."""
     weights = sp.delta4
-    v, w, (lam, mu, nu), active = solve_dual(
+    v, w, (lam, mu, nu), active, _, _ = solve_dual(
         weights, np.vstack([sp.pi4, sp.pi4 - sp.eta4, _SPREAD_ROW]),
         np.array([sp.level, sp.cost_gap, m]), 1, sp.base.utility, tol)
     return _PinnedInner(cost_total=float(weights @ w), v=tuple(float(x) for x in v),

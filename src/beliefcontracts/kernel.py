@@ -4,12 +4,13 @@ Everything here works in promised-utility space (v_s = u(w_s)), where the
 participation and incentive constraints are linear and the objective
 sum_s weight_s * h(v_s) is convex because h = u^-1 is convex.
 
-Two entry points, the one scalar root-finder and one sensitivity:
+Four entry points: risk sharing, the one scalar root-finder, one
+sensitivity and the null-space polish.
 
 ``solve_ir_only``
     Risk sharing against a single binding expected-utility constraint: its
-    multiplier is bracketed (the constraint residual is strictly increasing
-    in it) and then found by ``rtsafe``; every second-best solve starts here.
+    multiplier is the family's closed form, with no search; every
+    first-best and second-best solve starts here.
 
 ``rtsafe``
     Newton's method safeguarded by bisection on a sign bracket, for every
@@ -27,19 +28,15 @@ Two entry points, the one scalar root-finder and one sensitivity:
     N of that null space and the particular point v^ = Y R1^-T r, so every
     iterate v^ + N z satisfies M v = r up to rounding.
 
-Neither takes a tolerance: the cut-offs are fixed.  The risk-sharing
-multiplier search stops when the Newton correction is at most 4 u lam
-(u = 2^-53) or the sign bracket is at most 1e-12 relative wide, the reduced
-Newton at a relative stationarity of 1e-13 or when a step no longer lowers
-it.  The polish does not judge its point: ``solve_dual`` accepts or refuses
-it by ``kkt_certificate``'s checks.
+None takes a tolerance: the cut-offs are fixed.  The reduced Newton stops
+at a relative stationarity of 1e-13 or when a step no longer lowers it.
+The polish does not judge its point: ``solve_dual`` accepts or refuses it
+by ``kkt_certificate``'s checks.
 
 Every utility evaluation goes through the checked public ``UtilityModel``
-methods.  ``solve_ir_only`` makes them on the family's own wage domain, so
-a tightened ``domain`` bounds the answer, not the search; it keeps the wages
-of every multiplier it tries, returns those of the best one, and takes the
-marginal utility for its Newton slope from the argument of
-``inverse_marginal``.
+methods.  ``solve_ir_only`` makes one ``inverse_marginal`` and one
+``evaluate`` call, on the family's own wage domain, so a tightened
+``domain`` bounds the answer, not the computation.
 """
 
 from __future__ import annotations
@@ -51,10 +48,8 @@ import numpy as np
 from .errors import KKTDegeneracy, NoBracket, Unbounded
 from .utility import UtilityModel
 
-_MAX_BRACKET = 200
 _MAX_ROOT = 200
 _MAX_NEWTON = 80
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -72,18 +67,16 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     """Minimize sum weights_s w_s subject to sum probs_s u(w_s) = rhs.
 
     The first-order condition is weights_s = lam * probs_s * u'(w_s), so
-    w_s = (u')^-1(m_s) with m_s = weights_s / (probs_s lam).  The constraint
-    residual R(lam) is strictly increasing, with
-    R'(lam) = -(1/lam) sum_s probs_s m_s^2 / u''(w_s).  From the
-    constant-wage multiplier, doubling or halving finds a sign bracket; then
-    ``rtsafe`` runs on R with that slope, taken from the wages evaluated at
-    each iterate.  It stops when the Newton correction is at most 4 u lam
-    (u = 2^-53) or the bracket is at most 1e-12 relative wide, and returns
-    the evaluated multiplier with the smallest |R|.
+    w_s = (u')^-1(m_s) with m_s = weights_s / (probs_s lam), and the
+    constraint is a power, a log or a reciprocal in lam: the family's closed
+    form gives lam, and one ``inverse_marginal`` and one ``evaluate`` call
+    give the wages and utilities, on the family's own domain (``domain``
+    dropped), so each caller checks the answer against ``model`` itself.
 
-    rhs must lie in ``model``'s utility range, but the search runs on the
-    family's own domain (``domain`` dropped): its probes may leave a tightened
-    one, and each caller checks the answer against ``model`` itself.
+    Raises:
+        NoBracket: rhs outside ``model``'s utility range, or not reachable in
+            double precision (lam, a marginal utility m_s or a wage overflows
+            or underflows out of the family's domain, or a utility overflows).
 
     Returns:
         (v, wages, lam) with v_s = u(w_s).
@@ -96,48 +89,23 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
             f"{model.utility_range} of the {model.family} family")
     if model.domain is not None:
         model = replace(model, domain=None)
+    unreachable = NoBracket(f"required expected utility {rhs} is not reachable in double "
+                            f"precision by the {model.family} family")
 
     ratio = weights / probs
-
-    def point(lam: float):
-        """(lam, R(lam), R < 0, wages, v), the wages and utilities as evaluated."""
-        w = model.inverse_marginal(ratio / lam)
-        v = model.evaluate(w)
-        r = float(probs @ v) - rhs
-        return lam, r, r < 0.0, w, v
-
-    lam0 = float(model.inverse_derivative(rhs))   # 1/u' at the constant wage h(rhs)
-    lo = hi = point(lam0)
-    if lo[1] < 0.0:
-        for _ in range(_MAX_BRACKET):
-            hi = point(2.0 * lo[0])
-            if hi[1] >= 0.0:
-                break
-            lo = hi
-        else:
-            raise NoBracket("participation residual never becomes non-negative")
-    elif lo[1] > 0.0:
-        for _ in range(_MAX_BRACKET):
-            lo = point(0.5 * hi[0])
-            if lo[1] <= 0.0:
-                break
-            hi = lo
-        else:
-            raise NoBracket("participation residual never becomes non-positive")
-    else:
-        # lam0 zeroes the residual: nothing to improve
-        return np.asarray(lo[4], dtype=float), np.asarray(lo[3], dtype=float), lam0
-
-    def slope(cur) -> float:
-        """R'(lam) at an iterate, from the wages evaluated there."""
-        lam, w = cur[0], cur[3]
+    with np.errstate(all="ignore"):       # past double precision: refused below
+        lam = model._sharing_multiplier(ratio, probs, rhs)
         m = ratio / lam
-        return -float(probs @ (m * m / model.second_derivative(w))) / lam
-
-    lam, _, _, w, v = rtsafe(point, slope, lo, hi,
-                             lambda x: 4.0 * _UNIT_ROUNDOFF * x,
-                             lambda a, b: 1e-12 * b)
-    return np.asarray(v, dtype=float), np.asarray(w, dtype=float), float(lam)
+        if not ((m > 0.0) & (m < np.inf)).all():      # so 0 < lam < inf too
+            raise unreachable
+        w = np.asarray(model.inverse_marginal(m), dtype=float)
+        lo, hi = model.wage_domain
+        if not ((w > lo) & (w < hi)).all():
+            raise unreachable
+        v = np.asarray(model.evaluate(w), dtype=float)
+    if not np.isfinite(v).all():
+        raise unreachable
+    return v, w, float(lam)
 
 
 def rtsafe(f, slope, lo, hi, step_tol, width):

@@ -154,7 +154,8 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     else (after 20 steps) ``minimize_on_affine``'s polish of v(theta) on the
     active rows and then the stalled iterate; the first that passes
     ``kkt_certificate``'s checks at (tol, 1e-8), on the expressions
-    ``solve_second_best`` reports, is returned as (v, wages, theta, active rows).
+    ``solve_second_best`` reports, is returned as (v, wages, theta, active rows,
+    foc residuals, row residuals M_i v - r_i), the last two as lists of floats.
 
     Infeasible when d = theta or a Newton step, >= 0 on the inequality rows,
     has d.r > sum_s max(c_s lo, c_s hi), c = M^T d, above the d.r <= c.v of
@@ -173,15 +174,16 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     family = replace(model, domain=None) if model.domain is not None else model
     (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, family.utility_range
 
-    def failed_check(v, w, theta):
-        """The first check the candidate fails, None if it passes them all."""
+    def checked(v, w, theta):
+        """(foc, row residuals, the first check the candidate fails or None)."""
         if not ((w > w_lo) & (w < w_hi)).all():
             raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
                                 "conditions fail (no interior solution exists)")
         resid = [float(row @ v - rv) for row, rv in zip(M, r)]
-        foc = (weights - (theta @ M) * np.asarray(model.marginal(w), dtype=float)) / weights
-        return _kkt_checks(foc.tolist(), resid[:1] + resid[n_ineq:], resid[1:n_ineq],
-                           theta[1:n_ineq].tolist(), tol, 1e-8)[1]
+        foc = ((weights - (theta @ M) * np.asarray(model.marginal(w), dtype=float))
+               / weights).tolist()
+        return foc, resid, _kkt_checks(foc, resid[:1] + resid[n_ineq:], resid[1:n_ineq],
+                                       theta[1:n_ineq].tolist(), tol, 1e-8)[1]
 
     v, w, lam = solve_ir_only(weights, M[0], model, r[0])
     theta = np.zeros(m)
@@ -276,9 +278,9 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
             error = exc
     failures = []
     for name, *cand in candidates:
-        failed = failed_check(*cand)
+        foc, resid, failed = checked(*cand)
         if failed is None:
-            return (*cand, active)
+            return (*cand, active, foc, resid)
         failures.append(f"the {name} point fails {failed}")
     if isinstance(error, KKTDegeneracy):
         raise error
@@ -308,13 +310,11 @@ def solve_second_best(inst: ProblemInstance, target: str,
     level = inst.reservation_utility + act.cost
     q, ic_rows, ic_rhs = _ic_rows(inst, target)
     M = np.vstack([q] + ic_rows)
-    v, w, theta, active = solve_dual(delta, M, np.array([level] + ic_rhs), 0, model, tol)
+    v, w, theta, active, foc, resid = solve_dual(delta, M, np.array([level] + ic_rhs), 0,
+                                                 model, tol)
     lam = float(theta[0])
     if lam <= 0.0:
         raise KKTDegeneracy(f"participation multiplier came out non-positive ({lam})")
-
-    ic_slacks = tuple(float(row @ v - rv) for row, rv in zip(ic_rows, ic_rhs))
-    foc = (delta - (theta @ M) * np.asarray(model.marginal(w), dtype=float)) / delta
 
     return SecondBestSolution(
         target=target,
@@ -322,11 +322,11 @@ def solve_second_best(inst: ProblemInstance, target: str,
         utility_levels=tuple(float(x) for x in v),
         lam=lam,
         mu=tuple(float(x) for x in theta[1:]),
-        ic_slacks=ic_slacks,
-        ir_residual=float(q @ v) - level,
+        ic_slacks=tuple(resid[1:]),
+        ir_residual=resid[0],
         expected_cost_principal=float(delta @ w),
         coincides_with_first_best=not active[1:].any(),
-        foc_residuals=tuple(float(x) for x in foc),
+        foc_residuals=tuple(foc),
     )
 
 

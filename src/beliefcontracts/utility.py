@@ -61,6 +61,12 @@ class UtilityModel:
     def _h_second(self, v): raise NotImplementedError
     def _u_prime_inv(self, m): raise NotImplementedError
 
+    def _sharing_multiplier(self, ratio, probs, rhs):
+        """The lam with sum_s probs_s u((u')^-1(ratio_s / lam)) = rhs, in closed
+        form (the HARA risk-sharing rules, Wilson, *Econometrica* 36, 1968);
+        numpy scalars, so past double precision it is inf or 0, not an error."""
+        raise NotImplementedError
+
     # -- public surface with domain checks ------------------------------------
     def evaluate(self, w):
         """u(w)."""
@@ -165,6 +171,7 @@ class CaraUtility(UtilityModel):
     def _h_prime(self, v): return -1.0 / (self.r * v)
     def _h_second(self, v): return 1.0 / (self.r * v * v)
     def _u_prime_inv(self, m): return -np.log(m / self.r) / self.r
+    def _sharing_multiplier(self, ratio, probs, rhs): return -(probs @ ratio) / (self.r * rhs)
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,9 @@ class LogUtility(UtilityModel):
     def _h_prime(self, v): return np.exp(v)
     def _h_second(self, v): return np.exp(v)
     def _u_prime_inv(self, m): return 1.0 / m
+
+    def _sharing_multiplier(self, ratio, probs, rhs):
+        return np.exp((rhs + probs @ np.log(ratio)) / probs.sum())
 
 
 @dataclass(frozen=True)
@@ -240,6 +250,10 @@ class CrraUtility(UtilityModel):
 
     def _u_prime_inv(self, m): return m ** (-1.0 / self.gamma)
 
+    def _sharing_multiplier(self, ratio, probs, rhs):
+        g = self.gamma
+        return ((1 - g) * rhs / (probs @ ratio ** ((g - 1) / g))) ** (g / (1 - g))
+
 
 @dataclass(frozen=True)
 class SqrtUtility(UtilityModel):
@@ -268,6 +282,7 @@ class SqrtUtility(UtilityModel):
     def _h_prime(self, v): return 2.0 * v
     def _h_second(self, v): return 2.0 * np.ones_like(np.asarray(v, dtype=float)) if np.ndim(v) else 2.0
     def _u_prime_inv(self, m): return 0.25 / (m * m)
+    def _sharing_multiplier(self, ratio, probs, rhs): return 2.0 * rhs / (probs / ratio).sum()
 
 
 _FAMILIES = {"cara": CaraUtility, "log": LogUtility, "crra": CrraUtility, "sqrt": SqrtUtility}

@@ -126,6 +126,12 @@ def run_side(src: Path, workload: str, seed: int, ops: int, kinds: list[str],
     return subprocess.Popen(argv, stdout=subprocess.DEVNULL)
 
 
+def _largest(moves: list) -> str:
+    """The largest of (move, op) pairs, naming its op only when it is above 0."""
+    move, where = max(moves, default=(0.0, None))
+    return f"{move:.3g}" + (f" (op {where})" if move > 0.0 else "")
+
+
 def compare(label: str, old: dict, new: dict) -> None:
     """Print the transitions, certified counts and largest wage move of one seed."""
     print(f"== {label}: {len(old)} records")
@@ -141,15 +147,12 @@ def compare(label: str, old: dict, new: dict) -> None:
     for side, recs in (("old", old), ("new", new)):
         counts = Counter(r["verdict"] for r in recs.values())
         print(f"  {side}: " + ", ".join(f"{v} {n}" for v, n in sorted(counts.items())))
-    worst, where = 0.0, None
+    moves = []
     for key in old:
         if old[key]["verdict"] == new[key]["verdict"] == "certified":
             w0, w1 = np.asarray(old[key]["wages"]), np.asarray(new[key]["wages"])
-            move = float(np.max(np.abs(w1 - w0)) / np.max(np.abs(w0)))
-            if move > worst:
-                worst, where = move, key
-    print(f"  largest relative wage move among solves both certify: {worst:.3g}"
-          + (f" (op {where})" if where else ""))
+            moves.append((float(np.max(np.abs(w1 - w0)) / np.max(np.abs(w0))), key))
+    print(f"  largest relative wage move among solves both certify: {_largest(moves)}")
     for field, kind in (("sweep_wages", "sweep"), ("cara_wages", "cara_compstat")):
         paths = []
         for key in old:
@@ -160,18 +163,16 @@ def compare(label: str, old: dict, new: dict) -> None:
                     w0, w1 = w0[both], w1[both]
                     paths.append((float(np.max(np.abs(w1 - w0)) / np.max(np.abs(w0))), key))
         if paths:
-            move, where = max(paths)
             print(f"  largest relative {kind} wage-path move among {len(paths)} answers both "
-                  f"sides give: {move:.3g} (op {where})")
+                  f"sides give: {_largest(paths)}")
     for field, what, relative in (("eps_star", "eps*", False), ("m_star", "relative m*", True),
                                   ("cost", "relative cost", True)):
         moves = [(abs(new[key][field] - old[key][field])
                   / ((abs(old[key][field]) or 1.0) if relative else 1.0), key)
                  for key in old if field in old[key] and field in new[key]]
         if moves:
-            move, where = max(moves)
             print(f"  largest {what} move among {len(moves)} answers both sides give: "
-                  f"{move:.3g} (op {where})")
+                  f"{_largest(moves)}")
 
 
 def main(argv=None) -> int:

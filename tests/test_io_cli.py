@@ -182,8 +182,9 @@ class TestCli:
     ])
     def test_tightened_wage_domain_answers_as_the_free_file(self, tmp_path, argv):
         # every optimal wage of this log instance lies inside its wage domain
-        # [0.5, 20], which the multiplier search's probes leave: they were
-        # refused with DomainError, and now give the free file's bytes
+        # [0.5, 20]; the solvers compute on the family's own domain and check
+        # only the answer against the tightened one, so the bytes are the free
+        # file's
         tight = DATA / "log_wage_domain.json"
         doc = json.loads(tight.read_text())
         del doc["utility"]["wage_domain"]

@@ -1,8 +1,9 @@
-"""Numerical core: the risk-sharing multiplier against its closed forms,
-evaluation reuse in the multiplier searches and the null-space polish."""
+"""Numerical core: risk sharing against its own conditions and its utility
+evaluation count, evaluation reuse in the dual ascent, the scalar root-finder,
+the null-space polish and the sensitivity."""
 
 import itertools
-from math import exp
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import beliefcontracts as bc
 from beliefcontracts import kernel, second_best
-from support import (draw_costs_and_reservation, make_family, rand_simplex,
+from support import (FAMILY_NAMES, draw_costs_and_reservation, make_family, rand_simplex,
                      two_action_instance)
 
 DATA = Path(__file__).parent / "data"
@@ -52,9 +53,9 @@ def test_dual_ascent_never_evaluates_a_point_twice_in_a_row(monkeypatch):
     assert repeats == []
 
 
-def test_ir_only_returns_at_a_starting_multiplier_that_zeroes_the_residual(monkeypatch):
-    """Homogeneous beliefs: the constant-wage multiplier solves risk sharing,
-    so solve_ir_only evaluates inverse_marginal there once and returns."""
+def test_ir_only_pays_homogeneous_beliefs_a_constant_wage(monkeypatch):
+    """Homogeneous beliefs: every state has the same marginal utility, so
+    risk sharing pays one wage, from one inverse_marginal call."""
     calls = []
     original = bc.LogUtility.inverse_marginal
 
@@ -70,30 +71,12 @@ def test_ir_only_returns_at_a_starting_multiplier_that_zeroes_the_residual(monke
     assert sol.ir_residual == 0.0
 
 
-def closed_form_lam(model, delta, q, level):
-    """The participation multiplier of risk sharing in closed form."""
-    ratio = delta / q
-    if isinstance(model, bc.LogUtility):
-        return exp(level + q @ np.log(ratio))
-    if isinstance(model, bc.CaraUtility):
-        return -delta.sum() / (model.r * level)
-    if isinstance(model, bc.CrraUtility):
-        g = model.gamma
-        return (level * (1.0 - g) / (q @ ratio ** ((g - 1.0) / g))) ** (g / (1.0 - g))
-    assert isinstance(model, bc.SqrtUtility)
-    return 2.0 * level / (q * q / delta).sum()
-
-
 def closed_form_draws():
-    """(scale, delta, q, model, level, lam) on S = 2..10 for every closed-form
-    family: risk sharing with cost weights scale * delta, where lam is the
-    closed-form multiplier.  With scale 1 these are first-best problems, and
-    the multiplier lies below the constant-wage start, so the bracket search
-    halves it (cara's start is exact, up to rounding); a scale up to 8 puts it
-    above the start on most draws, so the search doubles.  Two log draws at
-    levels -40 and -60 put lam near 1e-18 and 1e-26, where a bracket width of
-    1e-12 absolute, not relative, stopped at once with a relative error of
-    8e-5."""
+    """(scale, delta, q, model, level) on S = 2..10 for every closed-form
+    family: risk sharing with cost weights scale * delta, a first-best
+    problem when scale is 1 and a kernel call with weights that are not a
+    probability vector when it is drawn from (1, 8).  Two log draws at
+    levels -40 and -60 put the multiplier near 1e-18 and 1e-26."""
     rng = np.random.default_rng(20261018)
     draws = []
     for name in ("cara", "log", "crra_low", "crra_high", "sqrt"):
@@ -101,14 +84,10 @@ def closed_form_draws():
             for scale in (1.0, 1.0, float(rng.uniform(1.0, 8.0))):
                 delta, q = rand_simplex(rng, S), rand_simplex(rng, S)
                 (cost,), ubar = draw_costs_and_reservation(rng, name, 1)
-                model = make_family(name)
-                level = ubar + cost
-                lam = closed_form_lam(model, scale * delta, q, level)
-                draws.append((scale, delta, q, model, level, lam))
+                draws.append((scale, delta, q, make_family(name), ubar + cost))
     delta, q = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
     for level in (-40.0, -60.0):
-        model = bc.LogUtility()
-        draws.append((1.0, delta, q, model, level, closed_form_lam(model, delta, q, level)))
+        draws.append((1.0, delta, q, bc.LogUtility(), level))
     return draws
 
 
@@ -126,34 +105,57 @@ def solve_draw(scale, delta, q, model, level):
     return sol.lam, sol.wages
 
 
-def test_risk_sharing_multiplier_and_wages_match_the_closed_forms():
-    draws = closed_form_draws()
-    doubles = [lam > model.inverse_derivative(level)
-               for _, _, _, model, level, lam in draws]
-    assert 20 <= sum(doubles) <= len(draws) - 20
-    for scale, delta, q, model, level, lam in draws:
-        got_lam, got_wages = solve_draw(scale, delta, q, model, level)
-        wages = model.inverse_marginal(scale * delta / q / lam)
-        assert got_lam == pytest.approx(lam, rel=1e-12, abs=0.0)
-        assert np.asarray(got_wages) == pytest.approx(wages, rel=1e-12, abs=0.0)
+def test_risk_sharing_meets_its_first_order_and_participation_conditions():
+    """Each draw judged by its own conditions, not by a formula for lam:
+    weights_s = lam q_s u'(w_s) state by state and q . u(w) = level, both
+    within rounding."""
+    for scale, delta, q, model, level in closed_form_draws():
+        lam, wages = solve_draw(scale, delta, q, model, level)
+        weights, wages = scale * delta, np.asarray(wages)
+        foc = np.abs(weights - lam * q * model.marginal(wages)) / weights
+        assert foc.max() <= 1e-13
+        assert abs(q @ model.evaluate(wages) - level) <= 1e-13 * max(1.0, abs(level))
 
 
-def test_ir_only_needs_few_residual_evaluations(monkeypatch):
-    """Bracket search plus safeguarded Newton: at most 8 residual evaluations
-    (one inverse_marginal call each) per solve on average; bisecting the
-    bracket to 1e-12 took about 40."""
-    draws = closed_form_draws()
-    calls = []
-    original = bc.UtilityModel.inverse_marginal
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_ir_only_makes_one_utility_evaluation_of_each_kind(monkeypatch, name):
+    """The multiplier is a closed form: one inverse_marginal call for the
+    wages and one evaluate call for their utilities, and no search (no slope
+    from second_derivative, no constant-wage start from inverse_derivative)."""
+    rng = np.random.default_rng(17)
+    delta, q = rand_simplex(rng, 5), rand_simplex(rng, 5)
+    (cost,), ubar = draw_costs_and_reservation(rng, name, 1)
+    model = make_family(name)
+    calls = Counter()
+    for method in ("evaluate", "marginal", "second_derivative", "inverse",
+                   "inverse_derivative", "inverse_second_derivative", "inverse_marginal"):
+        def spy(self, x, original=getattr(bc.UtilityModel, method), method=method):
+            calls[method] += 1
+            return original(self, x)
+        monkeypatch.setattr(bc.UtilityModel, method, spy)
+    kernel.solve_ir_only(delta, q, model, ubar + cost)
+    assert calls == Counter(inverse_marginal=1, evaluate=1)
 
-    def inverse_marginal(self, m):
-        calls.append(1)
-        return original(self, m)
 
-    monkeypatch.setattr(bc.UtilityModel, "inverse_marginal", inverse_marginal)
-    for scale, delta, q, model, level, _ in draws:
-        solve_draw(scale, delta, q, model, level)
-    assert len(calls) <= 8 * len(draws)
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_ir_only_answers_within_rounding_or_refuses_a_level_past_double_precision(name):
+    """Levels where lam, a marginal utility or a wage leaves the doubles (log
+    at 720, -745 and -800, sqrt at 1e-170 and 1e160, crra gamma=2 at -1e-200
+    among them) raise a package error, never a numpy warning or a bare
+    OverflowError; every level the family does reach is met within rounding."""
+    delta, q = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+    model = make_family(name)
+    answered = 0
+    for level in (700.0, 720.0, -745.0, -800.0, -1e300, 1e-170, 1e160, -1e-200):
+        try:
+            v, wages, lam = kernel.solve_ir_only(delta, q, model, level)
+        except bc.BeliefContractsError:
+            continue
+        answered += 1
+        assert 0.0 < lam < np.inf
+        assert abs(q @ v - level) <= 1e-13 * max(1.0, abs(level))
+        assert np.array_equal(v, model.evaluate(wages))
+    assert answered >= 2
 
 
 def test_rtsafe_newton_and_bisection_on_a_falling_function():

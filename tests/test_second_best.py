@@ -222,8 +222,8 @@ def test_duality_gap_is_small_on_certified_contracts():
 def test_wage_domain_tightened_around_the_free_answer_keeps_it(monkeypatch):
     # solve_mix draws 1..300 of seed 777, each one the free solve answers (213)
     # re-solved with its wage domain tightened around the free wages: lower end
-    # min w / 2 (min w - 1 for cara), upper end 2 |max w| + max w + 1.  Both
-    # the multiplier search and the dual run on the family's own domain, so a
+    # min w / 2 (min w - 1 for cara), upper end 2 |max w| + max w + 1.  Risk
+    # sharing and the dual both compute on the family's own domain, so a
     # probe leaving the tightened one neither raises DomainError (22 did) nor
     # steers the answer: every re-solve returns the free wages.
     monkeypatch.syspath_prepend(str(BENCH))
