@@ -59,7 +59,8 @@ def solve_first_best(inst: ProblemInstance, action: str) -> FirstBestSolution:
     Raises:
         NoBracket: required utility level outside the family's range, or
             level not reachable in double precision.
-        DomainError: propagated from the utility model.
+        DomainError: the answer pays a wage outside a tightened
+            ``wage_domain`` (risk sharing runs on the family's own domain).
     """
     inst.require_positive_beliefs()
     act = inst.action(action)
@@ -70,6 +71,7 @@ def solve_first_best(inst: ProblemInstance, action: str) -> FirstBestSolution:
 
     v, w, lam = solve_ir_only(delta, q, model, level)
     ir_residual = float(q @ v) - level
+    # the checked u' is the test of the answer against a tightened wage_domain
     foc = (delta - lam * q * np.asarray(model.marginal(w))) / delta
     return FirstBestSolution(
         action=action,

@@ -33,10 +33,12 @@ at a relative stationarity of 1e-13 or when a step no longer lowers it.
 The polish does not judge its point: ``solve_dual`` accepts or refuses it
 by ``kkt_certificate``'s checks.
 
-Every utility evaluation goes through the checked public ``UtilityModel``
-methods.  ``solve_ir_only`` makes one ``inverse_marginal`` and one
-``evaluate`` call, on the family's own wage domain, so a tightened
-``domain`` bounds the answer, not the computation.
+``solve_ir_only`` and ``minimize_on_affine`` call the family's closed forms
+directly, each on points their own interval tests have just admitted: the
+marginal utilities and wages of risk sharing, and the polish's iterates that
+passed ``in_range``.  ``solve_ir_only`` works on the family's own wage
+domain, so a tightened ``domain`` bounds the answer, not the computation.
+``sensitivity`` keeps the checked public ``UtilityModel`` methods.
 """
 
 from __future__ import annotations
@@ -69,17 +71,20 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     The first-order condition is weights_s = lam * probs_s * u'(w_s), so
     w_s = (u')^-1(m_s) with m_s = weights_s / (probs_s lam), and the
     constraint is a power, a log or a reciprocal in lam: the family's closed
-    form gives lam, and one ``inverse_marginal`` and one ``evaluate`` call
-    give the wages and utilities, on the family's own domain (``domain``
-    dropped), so each caller checks the answer against ``model`` itself.
+    form gives lam, and the closed forms (u')^-1 and u give the wages and
+    utilities, each on values the test before it admitted, on the family's
+    own domain (``domain`` dropped), so each caller checks the answer against
+    ``model`` itself.
 
     Raises:
         NoBracket: rhs outside ``model``'s utility range, or not reachable in
             double precision (lam, a marginal utility m_s or a wage overflows
-            or underflows out of the family's domain, or a utility overflows).
+            or underflows out of the family's domain, or a utility rounds
+            onto or past an end of the family's range).
 
     Returns:
-        (v, wages, lam) with v_s = u(w_s).
+        (v, wages, lam) with v_s = u(w_s) strictly inside the family's
+        utility range.
     """
     weights = np.asarray(weights, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -98,12 +103,13 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
         m = ratio / lam
         if not ((m > 0.0) & (m < np.inf)).all():      # so 0 < lam < inf too
             raise unreachable
-        w = np.asarray(model.inverse_marginal(m), dtype=float)
+        w = np.asarray(model._u_prime_inv(m), dtype=float)
         lo, hi = model.wage_domain
         if not ((w > lo) & (w < hi)).all():
             raise unreachable
-        v = np.asarray(model.evaluate(w), dtype=float)
-    if not np.isfinite(v).all():
+        v = np.asarray(model._u(w), dtype=float)
+    lo, hi = model.utility_range
+    if not ((v > lo) & (v < hi)).all():
         raise unreachable
     return v, w, float(lam)
 
@@ -235,7 +241,7 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, start):
         states (steep marginal utility) do not drown in the large ones.
         """
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
-            target = weights * np.asarray(model.inverse_derivative(vv), dtype=float)
+            target = weights * np.asarray(model._h_prime(vv), dtype=float)
             scaled = M.T / target[:, None]
         if not (((target > 0.0) & (target < np.inf)).all() and np.isfinite(scaled).all()):
             # lstsq would fail, or never return, on non-finite scaled rows
@@ -251,7 +257,7 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, start):
     for iterations in range(1, _MAX_NEWTON + 1):
         if rel <= 1e-13:
             break
-        hpp = np.asarray(model.inverse_second_derivative(v), dtype=float)
+        hpp = np.asarray(model._h_second(v), dtype=float)
         H = N.T @ ((weights * hpp)[:, None] * N)
         grad = N.T @ resid            # equals N^T (weights h') up to roundoff
         try:
@@ -277,7 +283,7 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, start):
         if np.max(np.abs(v)) > 1e14:
             raise Unbounded("iterates diverge along the feasible subspace")
 
-    wages = np.asarray(model.inverse(v), dtype=float)
+    wages = np.asarray(model._h(v), dtype=float)
     multipliers = np.zeros(len(M_all))
     multipliers[keep] = theta
     return AffineSolution(

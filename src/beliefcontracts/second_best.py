@@ -96,25 +96,32 @@ def risk_sharing(inst: ProblemInstance, target: str):
 def _dual_point(theta, weights, M, r, model):
     """(theta, w, v, low, high, grad = r - M v, dual value weights.w + theta.grad)
     at theta: v_s = u((u')^-1(weights_s / c_s)), c = M^T theta, clamped (low,
-    high) to a finite end of ``model``'s range; None past an infinite end."""
+    high) to a finite end of ``model``'s range; None past an infinite end, or
+    when an unclamped v_s rounds onto or past an end of the open range.
+
+    The masks are the domain tests: (u')^-1 runs only on marginal utilities
+    in (0, inf) and u only on wages strictly inside the wage domain, so both
+    are the family's closed forms, and every unclamped v_s of a returned point
+    lies strictly inside the utility range, where h'' needs no check either.
+    The caller holds ``np.errstate(divide="ignore", over="ignore",
+    invalid="ignore")``: past double precision the masks refuse."""
     (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        marg = weights / (M.T @ theta)
-        ok = (marg > 0.0) & (marg < np.inf)
-        w = model.inverse_marginal(marg) if ok.all() else np.where(
-            ok, model.inverse_marginal(np.where(ok, marg, 1.0)), w_lo)
-        low, high = ~ok | (w <= w_lo), w >= w_hi
-        clamped = low | high
-        if not clamped.any():
-            v = model.evaluate(w)
-        elif (low.any() and v_lo == -np.inf) or (high.any() and v_hi == np.inf):
-            return None
-        else:
-            w[low], w[high] = w_lo, w_hi
-            v = np.where(low, v_lo, v_hi)
-            v[~clamped] = model.evaluate(w[~clamped])
-        if not np.isfinite(v).all():
-            return None
+    marg = weights / (M.T @ theta)
+    ok = (marg > 0.0) & (marg < np.inf)
+    w = model._u_prime_inv(marg) if ok.all() else np.where(
+        ok, model._u_prime_inv(np.where(ok, marg, 1.0)), w_lo)
+    low, high = ~ok | (w <= w_lo), w >= w_hi
+    clamped = low | high
+    if not clamped.any():
+        v = model._u(w)
+    elif (low.any() and v_lo == -np.inf) or (high.any() and v_hi == np.inf):
+        return None
+    else:
+        w[low], w[high] = w_lo, w_hi
+        v = np.where(low, v_lo, v_hi)
+        v[~clamped] = model._u(w[~clamped])
+    if not (clamped | ((v > v_lo) & (v < v_hi))).all():
+        return None
     grad = r - M @ v
     return theta, w, v, low, high, grad, float(weights @ w + theta @ grad)
 
@@ -143,7 +150,9 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     At theta (>= 0 on the inequality rows) each state takes ``_dual_point``'s
     v_s, so only M v >= r is iterated, from the risk-sharing multiplier of
     ``solve_ir_only``.  A step solves (M_F D M_F^T + tau I) d = grad_F,
-    grad = r - M v, D = 1 / (weights h''(v)) on unclamped states,
+    grad = r - M v, D = 1 / (weights h''(v)) on unclamped states (each
+    strictly inside the utility range, the start's by ``solve_ir_only``'s
+    test and every other iterate's by ``_dual_point``'s, so h'' is unchecked),
     tau = 1e-10 min(1, |pg|) max diag, off the binding set (theta_i <= eps
     with grad_i <= 0, or 0 with d_i < 0; there d_i = -theta_i), and halves
     alpha in P(theta + alpha d) until the dual value rises by Armijo's rule
@@ -175,12 +184,13 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, family.utility_range
 
     def checked(v, w, theta):
-        """(foc, row residuals, the first check the candidate fails or None)."""
+        """(foc, row residuals, the first check the candidate fails or None);
+        u' runs on wages its first test admitted."""
         if not ((w > w_lo) & (w < w_hi)).all():
             raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
                                 "conditions fail (no interior solution exists)")
         resid = [float(row @ v - rv) for row, rv in zip(M, r)]
-        foc = ((weights - (theta @ M) * np.asarray(model.marginal(w), dtype=float))
+        foc = ((weights - (theta @ M) * np.asarray(model._u_prime(w), dtype=float))
                / weights).tolist()
         return foc, resid, _kkt_checks(foc, resid[:1] + resid[n_ineq:], resid[1:n_ineq],
                                        theta[1:n_ineq].tolist(), tol, 1e-8)[1]
@@ -230,7 +240,7 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
             raise Infeasible(_EMPTY)
         free = ~(low | high)
         Mf = M[:, free]
-        J = (Mf / (weights[free] * family.inverse_second_derivative(v[free]))) @ Mf.T
+        J = (Mf / (weights[free] * family._h_second(v[free]))) @ Mf.T
         binding = sign & (theta <= min(1e-3, pg_norm)) & (grad <= 0.0)
         try:
             while True:     # a row at 0 that the step would push below joins the binding set
@@ -248,20 +258,21 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
         if v_hi == np.inf and certifies(d):        # the ray theta may never show
             raise Infeasible(_EMPTY)
         alpha = 1.0
-        for _ in range(1 if small else 60):
-            trial = np.maximum(theta + alpha * d, floor)
-            nxt = _dual_point(trial, weights, M, r, family)
-            if nxt is not None:
-                # Armijo, or at the dual value's rounding level a smaller |pg|
-                gain = nxt[6] - value
-                if gain >= 1e-4 * float(grad @ (trial - theta)) or (
-                        gain >= -1e-14 * (weights @ np.abs(w) + np.abs(theta) @ (
-                            np.abs(r) + abs_MT.T @ np.abs(v)))
-                        and np.abs(projected(nxt)).max() < pg_norm):
-                    break
-            alpha *= 0.5
-        else:
-            break
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(1 if small else 60):
+                trial = np.maximum(theta + alpha * d, floor)
+                nxt = _dual_point(trial, weights, M, r, family)
+                if nxt is not None:
+                    # Armijo, or at the dual value's rounding level a smaller |pg|
+                    gain = nxt[6] - value
+                    if gain >= 1e-4 * float(grad @ (trial - theta)) or (
+                            gain >= -1e-14 * (weights @ np.abs(w) + np.abs(theta) @ (
+                                np.abs(r) + abs_MT.T @ np.abs(v)))
+                            and np.abs(projected(nxt)).max() < pg_norm):
+                        break
+                alpha *= 0.5
+            else:
+                break
         cur = nxt
 
     theta, w, v = cur[:3]
@@ -349,14 +360,16 @@ def dual_value(inst: ProblemInstance, target: str, lam: float, mu) -> float:
     c = M^T theta, v over the family's closed utility range: a lower bound on
     the optimal cost for theta >= 0 (Boyd & Vandenberghe, *Convex
     Optimization*, section 5.2), at ``solve_dual``'s ``_dual_point`` (a state
-    clamped at a finite end takes that end's term); -inf past an infinite end.
+    clamped at a finite end takes that end's term); -inf where it has no point
+    (past an infinite end, or a utility rounded onto an end).
     """
     act = inst.action(target)
     q, rows, rhs = _ic_rows(inst, target)
-    cur = _dual_point(np.array([lam, *mu], dtype=float), act.principal_beliefs.as_array(),
-                      np.vstack([q] + rows),
-                      np.array([inst.reservation_utility + act.cost] + rhs),
-                      replace(inst.utility, domain=None))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cur = _dual_point(np.array([lam, *mu], dtype=float), act.principal_beliefs.as_array(),
+                          np.vstack([q] + rows),
+                          np.array([inst.reservation_utility + act.cost] + rhs),
+                          replace(inst.utility, domain=None))
     return -np.inf if cur is None else cur[6]
 
 

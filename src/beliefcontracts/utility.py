@@ -4,11 +4,16 @@ Each family supplies u, u', u'', the inverse h = u^-1 with h' and h'', and the
 inverse marginal (u')^-1.  All of these are hard-coded closed forms so results
 are bit-reproducible.
 
-Every method accepts a float or an ndarray and enforces the open wage domain /
-utility range, raising :class:`DomainError` outside it.  A family's ``domain``
-may tighten its default wage domain (a None end keeps the default's); the
-solvers search on the family's own domain and check each answer against the
-tightened one.
+Every public method accepts a float or an ndarray and checks the open wage
+domain / utility range, raising :class:`DomainError` outside it.  The closed
+forms behind them (``_u``, ``_u_prime``, ``_h``, ``_h_prime``, ``_h_second``,
+``_u_prime_inv``) check nothing: the solvers call them only on points that
+their own named interval tests have just admitted (``kernel.solve_ir_only``'s
+marginal-utility and wage masks, ``minimize_on_affine``'s ``in_range``,
+``second_best._dual_point``'s masks and ``solve_dual``'s candidate wage test).
+A family's ``domain`` may tighten its default wage domain (a None end keeps
+the default's); the solvers search on the family's own domain and check each
+answer against the tightened one.
 """
 
 from __future__ import annotations

@@ -17,16 +17,19 @@ Infeasible is judged by ``bench/lpref.interior_feasible`` on its problem
 document, so a transition into or out of Infeasible reads
 ``infeasible_confirmed`` or ``Infeasible_but_lp_feasible``.
 
-Beside each op's verdict, a choose_action op records one direct
+Beside each op's verdict, a refusal records its message up to the first
+colon (the check that refused, without the numbers after it), a choose_action
+op records one direct
 ``solve_second_best`` per action (``i/action``) with the ``check_solve``
 verdict of solve_mix, every returned contract records its wages and
 ``kkt_certificate``'s stationarity_max, a detect_regime_change op that
 returned an eps records it, an equivalence_report op that returned
 records its m* and iterative cost, and a sweep or cara_compstat op that
 returned records its wage paths (a sweep also its failed rows).  The
-report prints every verdict transition and every change in a sweep's failed
-rows, with stationarity_max before and after when both sides returned a
-contract, the certified count of each side, the largest relative wage move
+report prints every verdict transition, every change in a refusal's message
+and every change in a sweep's failed rows, with stationarity_max before and
+after when both sides returned a contract, the count of message changes and
+the certified count of each side, the largest relative wage move
 max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify (and,
 over a whole wage path, among the sweep and the cara_compstat ops both sides
 answer, on the rows both sides solved), and the largest |eps*' - eps*|,
@@ -52,13 +55,22 @@ DRIVER_KINDS = ("sweep_second_best", "sweep_first_best", "choose_action_2", "cho
                 "equivalence_report")
 
 
+def _refusal(rec: dict, outcome) -> dict:
+    """``rec`` with a refusal's message up to its first colon, if ``outcome`` is one."""
+    if isinstance(outcome, Exception):
+        rec["message"] = str(outcome).split(":", 1)[0]
+    return rec
+
+
 def _solve_record(checks, bc, doc, inst, target, outcome) -> dict:
-    """Verdict of one second-best solve, with its wages and stationarity; an
-    Infeasible is judged by the strict-interior LP on ``doc``."""
+    """Verdict of one second-best solve, with its wages and stationarity or
+    its refusal's message; an Infeasible is judged by the strict-interior LP
+    on ``doc``."""
     import lpref
 
     lp = lpref.interior_feasible(doc, target) if isinstance(outcome, bc.Infeasible) else None
-    rec = {"verdict": checks.check_solve(inst, target, outcome, lp_feasible=lp)}
+    rec = _refusal({"verdict": checks.check_solve(inst, target, outcome, lp_feasible=lp)},
+                   outcome)
     if isinstance(outcome, bc.SecondBestSolution):
         rec["wages"] = list(outcome.wages)
         rec["stationarity_max"] = bc.kkt_certificate(inst, target, outcome).stationarity_max
@@ -97,6 +109,7 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
             out[str(i)] = {"verdict": wl.check(case, outcome)}
         except Exception as exc:     # as bench/run.py labels a check that raised
             out[str(i)] = {"verdict": "unchecked:" + type(exc).__name__}
+        _refusal(out[str(i)], outcome)
         if isinstance(outcome, float):
             out[str(i)]["eps_star"] = outcome
         if isinstance(outcome, bc.EquivalenceReport):
@@ -133,8 +146,10 @@ def _largest(moves: list) -> str:
 
 
 def compare(label: str, old: dict, new: dict) -> None:
-    """Print the transitions, certified counts and largest wage move of one seed."""
+    """Print the transitions, message changes, certified counts and largest
+    wage move of one seed."""
     print(f"== {label}: {len(old)} records")
+    messages = 0
     for key in old:
         a, b = old[key], new[key]
         if a["verdict"] != b["verdict"]:
@@ -142,8 +157,12 @@ def compare(label: str, old: dict, new: dict) -> None:
             if "stationarity_max" in a and "stationarity_max" in b:
                 stat = f"  stationarity_max {a['stationarity_max']:.3g} -> {b['stationarity_max']:.3g}"
             print(f"  {key}: {a['verdict']} -> {b['verdict']}{stat}")
+        if a.get("message") != b.get("message"):
+            messages += 1
+            print(f"  {key}: message {a.get('message')!r} -> {b.get('message')!r}")
         if "failed_rows" in a and "failed_rows" in b and a["failed_rows"] != b["failed_rows"]:
             print(f"  {key}: failed rows {a['failed_rows']} -> {b['failed_rows']}")
+    print(f"  refusal message changes: {messages}")
     for side, recs in (("old", old), ("new", new)):
         counts = Counter(r["verdict"] for r in recs.values())
         print(f"  {side}: " + ", ".join(f"{v} {n}" for v, n in sorted(counts.items())))

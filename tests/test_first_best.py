@@ -1,6 +1,8 @@
 """Risk-sharing solver: closed forms, order properties, comparative statics."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from beliefcontracts import MlrpOrder, Monotonicity
 from support import single_action_instance
 
 D = lambda *p: bc.Distribution(tuple(p))
+DATA = Path(__file__).parent / "data"
 
 
 def one_action(principal, agent, cost, ubar, model, outputs=None):
@@ -29,6 +32,17 @@ class TestSolveFirstBest:
             assert max(sol.wages) - min(sol.wages) <= 1e-8
             assert sol.wages[0] == pytest.approx(float(target), abs=1e-8)
             assert bc.classify_monotonicity(sol) is Monotonicity.FLAT
+
+    def test_answer_outside_a_tightened_wage_domain_is_refused(self):
+        # the free first-best of log_wage_domain.json pays 0.5946 in its
+        # lowest state; a lower end 1e-3 above that wage leaves the answer
+        # outside the domain, while risk sharing itself runs on the family's
+        doc = json.loads((DATA / "log_wage_domain.json").read_text())
+        doc["utility"]["wage_domain"] = None
+        low = min(bc.solve_first_best(bc.parse_problem(json.dumps(doc)), "H").wages)
+        doc["utility"]["wage_domain"] = [low + 1e-3, 20.0]
+        with pytest.raises(bc.DomainError, match="wage must lie in the open interval"):
+            bc.solve_first_best(bc.parse_problem(json.dumps(doc)), "H")
 
     def test_cara_two_state_closed_form(self):
         # e^{-w_s} = -(principal_s / agent_s)(ubar + c)

@@ -1,5 +1,6 @@
 """Numerical core: risk sharing against its own conditions and its utility
-evaluation count, evaluation reuse in the dual ascent, the scalar root-finder,
+evaluation count, evaluation reuse in the dual ascent, the solvers' use of the
+closed forms in place of the checked public methods, the scalar root-finder,
 the null-space polish and the sensitivity."""
 
 import itertools
@@ -15,15 +16,27 @@ from support import (FAMILY_NAMES, draw_costs_and_reservation, make_family, rand
                      two_action_instance)
 
 DATA = Path(__file__).parent / "data"
+PUBLIC_METHODS = ("evaluate", "marginal", "second_derivative", "inverse", "inverse_derivative",
+                  "inverse_second_derivative", "inverse_marginal", "contains_utility")
+CLOSED_FORMS = ("_u", "_u_prime", "_u_second", "_h", "_h_prime", "_h_second", "_u_prime_inv")
+
+
+def spy_on(monkeypatch, cls, methods, calls: Counter):
+    """Count each call of ``methods`` on ``cls`` in ``calls``."""
+    for method in methods:
+        def spy(self, x, original=getattr(cls, method), method=method):
+            calls[method] += 1
+            return original(self, x)
+        monkeypatch.setattr(cls, method, spy)
 
 
 def test_dual_ascent_never_evaluates_a_point_twice_in_a_row(monkeypatch):
     """The line search's accepted trial point is the next iterate as evaluated,
-    so consecutive inverse_marginal calls within one solve always differ."""
-    passes = []      # inverse_marginal arguments, one list per solve_dual call
+    so consecutive (u')^-1 calls within one solve always differ."""
+    passes = []      # (u')^-1 arguments, one list per solve_dual call
     recording = []
     original_solve_dual = second_best.solve_dual
-    original_inverse_marginal = bc.LogUtility.inverse_marginal
+    original_u_prime_inv = bc.LogUtility._u_prime_inv
 
     def solve_dual(*args):
         recording.append(True)
@@ -33,16 +46,16 @@ def test_dual_ascent_never_evaluates_a_point_twice_in_a_row(monkeypatch):
         finally:
             recording.pop()
 
-    def inverse_marginal(self, m):
+    def u_prime_inv(self, m):
         if recording:
             passes[-1].append(np.array(m, dtype=float, copy=True))
-        return original_inverse_marginal(self, m)
+        return original_u_prime_inv(self, m)
 
     rng = np.random.default_rng(5)
     instances = [bc.load_problem(DATA / "log_binding.json")]
     instances += [two_action_instance(rng, S, name="log") for S in (2, 3, 4, 4, 6)]
     monkeypatch.setattr(second_best, "solve_dual", solve_dual)
-    monkeypatch.setattr(bc.LogUtility, "inverse_marginal", inverse_marginal)
+    monkeypatch.setattr(bc.LogUtility, "_u_prime_inv", u_prime_inv)
     for inst in instances:
         bc.solve_second_best(inst, "H")
 
@@ -55,16 +68,16 @@ def test_dual_ascent_never_evaluates_a_point_twice_in_a_row(monkeypatch):
 
 def test_ir_only_pays_homogeneous_beliefs_a_constant_wage(monkeypatch):
     """Homogeneous beliefs: every state has the same marginal utility, so
-    risk sharing pays one wage, from one inverse_marginal call."""
+    risk sharing pays one wage, from one (u')^-1 call."""
     calls = []
-    original = bc.LogUtility.inverse_marginal
+    original = bc.LogUtility._u_prime_inv
 
-    def inverse_marginal(self, m):
+    def u_prime_inv(self, m):
         calls.append(np.array(m, dtype=float, copy=True))
         return original(self, m)
 
     inst = bc.load_problem(DATA / "log_binding.json")
-    monkeypatch.setattr(bc.LogUtility, "inverse_marginal", inverse_marginal)
+    monkeypatch.setattr(bc.LogUtility, "_u_prime_inv", u_prime_inv)
     sol = bc.solve_first_best(inst, "H")
     assert len(calls) == 1
     assert sol.wages[0] == sol.wages[1]
@@ -119,22 +132,33 @@ def test_risk_sharing_meets_its_first_order_and_participation_conditions():
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_ir_only_makes_one_utility_evaluation_of_each_kind(monkeypatch, name):
-    """The multiplier is a closed form: one inverse_marginal call for the
-    wages and one evaluate call for their utilities, and no search (no slope
-    from second_derivative, no constant-wage start from inverse_derivative)."""
+    """The multiplier is a closed form: one (u')^-1 call for the wages and one
+    u call for their utilities, both unchecked behind the kernel's own masks,
+    and no search (no slope from u'', no constant-wage start from h')."""
     rng = np.random.default_rng(17)
     delta, q = rand_simplex(rng, 5), rand_simplex(rng, 5)
     (cost,), ubar = draw_costs_and_reservation(rng, name, 1)
     model = make_family(name)
     calls = Counter()
-    for method in ("evaluate", "marginal", "second_derivative", "inverse",
-                   "inverse_derivative", "inverse_second_derivative", "inverse_marginal"):
-        def spy(self, x, original=getattr(bc.UtilityModel, method), method=method):
-            calls[method] += 1
-            return original(self, x)
-        monkeypatch.setattr(bc.UtilityModel, method, spy)
+    spy_on(monkeypatch, bc.UtilityModel, PUBLIC_METHODS[:-1], calls)
+    spy_on(monkeypatch, type(model), CLOSED_FORMS, calls)
     kernel.solve_ir_only(delta, q, model, ubar + cost)
-    assert calls == Counter(inverse_marginal=1, evaluate=1)
+    assert calls == Counter(_u_prime_inv=1, _u=1)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_binding_second_best_checks_no_point_through_the_public_methods(monkeypatch, name):
+    """Every point a binding solve evaluates has passed the solver's own
+    interval tests, so it calls the closed forms only: of the public methods
+    just ``contains_utility``, risk sharing's test of the participation level."""
+    rng = np.random.default_rng(23)
+    inst = next(inst for inst in (two_action_instance(rng, 4, name=name) for _ in range(40))
+                if not bc.solve_second_best(inst, "H").coincides_with_first_best)
+    calls = Counter()
+    spy_on(monkeypatch, bc.UtilityModel, PUBLIC_METHODS, calls)
+    sol = bc.solve_second_best(inst, "H")
+    assert max(sol.mu) > 0.0
+    assert set(calls) == {"contains_utility"}
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
