@@ -94,14 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, action_flag=True, tol_flag=True):
+    def add_common(p, action_flag=True):
         p.add_argument("--problem", required=True, help="path to a problem JSON file")
         if action_flag:
             p.add_argument("--action", help="action name (default: highest-cost)")
-        if tol_flag:        # only where the command passes it on
-            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", help="write the artifact here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
 
     p = sub.add_parser("solve-first-best", help="risk-sharing contract for one action")
     add_common(p)
@@ -111,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("choose-action", help="profit-maximizing action to implement")
     add_common(p, action_flag=False)
-    p.add_argument("--action", help=argparse.SUPPRESS)
 
     p = sub.add_parser("compstat", help="eps-reallocation sweep of a belief vector")
     add_common(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--solver", choices=["first-best", "second-best"],
                    default="second-best")
     p.add_argument("--party", choices=["principal", "agent"], default="principal")
@@ -124,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-regime",
                        help="eps at which the incentive constraint starts or stops binding")
-    add_common(p, tol_flag=False)
+    add_common(p)
     p.add_argument("--party", choices=["principal", "agent"], default="principal")
     p.add_argument("--which-action", help="whose beliefs to tilt (default: --action)")
     p.add_argument("--states", required=True)
@@ -134,13 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="comma-separated probabilities")
     p.add_argument("--g", required=True)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("reduce", help="lump the top states of a distribution")
     p.add_argument("--p", required=True, help="comma-separated probabilities")
     p.add_argument("--keep", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("iterate4",
                        help="4-state spread decomposition vs the direct solve")
@@ -155,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
 
     p = sub.add_parser("figure-data", help="two-state picture geometry as CSV")
-    add_common(p, action_flag=False, tol_flag=False)
+    add_common(p, action_flag=False)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--grid", type=int, default=101)
     return parser
 
@@ -166,19 +162,8 @@ def _default_action(inst, name):
     return max(inst.actions, key=lambda a: a.cost).name
 
 
-def _require_format(args, native: str, allowed: tuple[str, ...]) -> str:
-    chosen = args.format or native
-    if chosen not in allowed:
-        raise ParseError(
-            f"--format {chosen} not supported for {args.command} "
-            f"(supported: {', '.join(allowed)})")
-    return chosen
-
-
 def _run(args, argv) -> int:
     cmd = args.command
-    if cmd not in ("compstat", "figure-data"):
-        _require_format(args, "json", ("json",))   # solutions are structured objects
     if cmd == "mlrp":
         f, g = _parse_dist(args.f, "--f"), _parse_dist(args.g, "--g")
         payload = dump_json({
@@ -197,19 +182,19 @@ def _run(args, argv) -> int:
     if cmd == "solve-first-best":
         action = _default_action(inst, args.action)
         sol = solve_first_best(inst, action)
-        payload = first_best_payload(sol, args.tol)
+        payload = first_best_payload(sol)
         payload["monotonicity"] = classify_monotonicity(sol).value
         _emit(args, dump_json(payload) + "\n", argv)
         return 0
 
     if cmd == "solve-second-best":
         action = _default_action(inst, args.action)
-        sol = solve_second_best(inst, action, tol=args.tol)
-        _emit(args, dump_json(second_best_payload(sol, inst, args.tol)) + "\n", argv)
+        sol = solve_second_best(inst, action)
+        _emit(args, dump_json(second_best_payload(sol, inst)) + "\n", argv)
         return 0
 
     if cmd == "choose-action":
-        report = choose_action(inst, tol=args.tol)
+        report = choose_action(inst)
         payload = {
             "chosen": report.chosen,
             "first_best_choice": report.first_best_choice,
@@ -235,9 +220,8 @@ def _run(args, argv) -> int:
         which = args.which_action or action
         s, s_prime = _parse_states(args.states)
         result = sweep(inst, action, Party(args.party), which, s, s_prime,
-                       _parse_grid(args.eps_grid), _solver_kind(args.solver),
-                       tol=args.tol)
-        if _require_format(args, "csv", ("csv", "json")) == "json":
+                       _parse_grid(args.eps_grid), _solver_kind(args.solver))
+        if args.format == "json":
             payload = {
                 "eps_values": list(result.eps_values),
                 "wage_paths": [list(r) for r in result.wage_paths],
@@ -265,7 +249,7 @@ def _run(args, argv) -> int:
 
     if cmd == "iterate4":
         action = _default_action(inst, args.action)
-        report = equivalence_report(SpreadProblem(inst, action), tol=args.tol)
+        report = equivalence_report(SpreadProblem(inst, action))
         payload = {
             "m_star": report.m_star,
             "cost_iterative": report.cost_iterative,
@@ -284,7 +268,7 @@ def _run(args, argv) -> int:
         mode = _solver_kind(args.mode)
         if args.v_lo is None or args.v_hi is None:
             sol = (solve_first_best(inst, action) if mode is SolverKind.FIRST_BEST
-                   else solve_second_best(inst, action, tol=args.tol))
+                   else solve_second_best(inst, action))
             vs = np.asarray(sol.utility_levels)
             span = max(float(vs.max() - vs.min()), 0.1)
             v_lo = float(vs.min() - 0.35 * span)
@@ -294,8 +278,7 @@ def _run(args, argv) -> int:
             v_hi = min(v_hi, hi_r - 0.05 * span) if np.isfinite(hi_r) else v_hi
         else:
             v_lo, v_hi = args.v_lo, args.v_hi
-        report = oracle_audit(inst, action, GridSpec(v_lo, v_hi, args.points), mode,
-                              tol=args.tol)
+        report = oracle_audit(inst, action, GridSpec(v_lo, v_hi, args.points), mode)
         payload = {
             "solver_cost": report.solver_cost,
             "oracle_cost": report.oracle_cost,
@@ -308,7 +291,7 @@ def _run(args, argv) -> int:
 
     if cmd == "figure-data":
         bundle = figure_data(inst, args.grid)
-        if _require_format(args, "csv", ("csv", "json")) == "json":
+        if args.format == "json":
             payload = {
                 "target": bundle.target,
                 "indifference_target": [list(p) for p in bundle.indifference_target],

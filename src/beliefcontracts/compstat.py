@@ -18,11 +18,7 @@ from .beliefs import Monotonicity, Party, ProblemInstance, SolverKind
 from .errors import BeliefContractsError, ValidationError
 from .first_best import VERDICT_TOL, classify_monotonicity, solve_first_best
 from .kernel import rtsafe, sensitivity
-from .second_best import risk_sharing, solve_second_best
-
-# incentive tolerance of detect_regime_change's second-best solves and of
-# its slack comparison (solve_second_best's default)
-_INCENTIVE_TOL = 1e-9
+from .second_best import _FEASIBILITY_TOL, risk_sharing, solve_second_best
 
 
 @dataclass(frozen=True)
@@ -54,13 +50,13 @@ def _variance(wages: np.ndarray, probs: np.ndarray) -> float:
 
 
 def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
-          s: int, s_prime: int, eps_grid, solver: SolverKind,
-          tol: float = 1e-9) -> SweepResult:
+          s: int, s_prime: int, eps_grid, solver: SolverKind) -> SweepResult:
     """Re-solve the contract for ``action`` at every eps in the grid.
 
     Each eps moves that much probability from state s_prime onto state s in
-    the beliefs of ``party`` about ``which_action``.  Per-row solver failures
-    are recorded, not fatal.
+    the beliefs of ``party`` about ``which_action``; a second-best row
+    counts an incentive constraint as satisfied at slack >= -1e-9, the
+    solver's own tolerance.  Per-row solver failures are recorded, not fatal.
     """
     eps_values = [float(e) for e in eps_grid]
     S = inst.n_states
@@ -77,7 +73,7 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
                 sol = solve_first_best(tilted, action)
                 lam, mu, coin = sol.lam, 0.0, True
             else:
-                sol = solve_second_best(tilted, action, tol=tol)
+                sol = solve_second_best(tilted, action)
                 lam = sol.lam
                 mu = sol.mu[0] if len(sol.mu) == 1 else float(sum(sol.mu))
                 coin = sol.coincides_with_first_best
@@ -140,13 +136,15 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
     0 and eps_max (either sign), are solved with ``solve_second_best``, whose
     refusals propagate.  In between the flag is read from the risk-sharing
     contract alone (see ``risk_sharing``): it flips where the smallest
-    incentive slack crosses -tol_s, tol_s = 1e-9 being the solver's incentive
-    tolerance.  ``kernel.rtsafe`` roots slack + tol_s, each point's side from
-    the solver's own comparison slack < -tol_s, on the slope d row_i . v +
+    incentive slack crosses -tol_s, tol_s = 1e-9 being the solver's own
+    tolerance (``second_best._FEASIBILITY_TOL``, read here too).
+    ``kernel.rtsafe`` roots slack + tol_s, each point's side from the
+    solver's own comparison slack < -tol_s, on the slope d row_i . v +
     row_i . dv of the smallest slack's row i, dv from ``kernel.sensitivity``,
-    to a Newton correction of tol/4 or a bracket of tol/2.  The root is taken
-    on the slack rather than on the multiplier mu(eps), which is identically
-    0 where the constraint is slack and has a kink at the flip.
+    to a Newton correction of tol/4 or a bracket of tol/2 (tol, the accuracy
+    of eps, is this function's own).  The root is taken on the slack rather
+    than on the multiplier mu(eps), which is identically 0 where the
+    constraint is slack and has a kink at the flip.
 
     Args:
         eps_max: other end of the tilt range; must keep the open simplex.
@@ -158,7 +156,7 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
     def tilted(eps: float) -> ProblemInstance:
         return inst.tilted(tilt.party, tilt.action, tilt.s, tilt.s_prime, eps)
 
-    ends = sorted(((eps, solve_second_best(tilted(eps), target, tol=_INCENTIVE_TOL))
+    ends = sorted(((eps, solve_second_best(tilted(eps), target))
                    for eps in (0.0, float(eps_max))), key=lambda end: end[0])
     binding_lo = not ends[0][1].coincides_with_first_best
     if binding_lo != ends[1][1].coincides_with_first_best:
@@ -175,8 +173,8 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
         else:
             v, lam, slacks = risk_sharing(t, target)
         i = int(np.argmin(slacks))
-        binding = slacks[i] < -_INCENTIVE_TOL
-        return eps, slacks[i] + _INCENTIVE_TOL, binding == binding_lo, t, v, lam, i
+        binding = slacks[i] < -_FEASIBILITY_TOL
+        return eps, slacks[i] + _FEASIBILITY_TOL, binding == binding_lo, t, v, lam, i
 
     def slope(p) -> float:
         _, _, _, t, v, lam, i = p

@@ -13,15 +13,15 @@ class ValidationError(BeliefContractsError):
     """An invariant on inputs is violated; the message names it and its location."""
 
 
-class LengthMismatch(BeliefContractsError):
+class LengthMismatch(ValidationError):
     """Two vectors that must share a state space have different lengths."""
 
 
-class InvalidReduction(BeliefContractsError):
+class InvalidReduction(ValidationError):
     """Requested outcome-lumping size is out of range."""
 
 
-class IndexOrder(BeliefContractsError):
+class IndexOrder(ValidationError):
     """State indices passed in the wrong order (requires s_hi > s_lo)."""
 
 
@@ -33,7 +33,7 @@ class NoBracket(BeliefContractsError):
     """A scalar root could not be bracketed within the admissible interval."""
 
 
-class EpsilonTooLarge(BeliefContractsError):
+class EpsilonTooLarge(ValidationError):
     """A belief perturbation would leave the open probability simplex."""
 
 
@@ -73,5 +73,5 @@ class GridTooCoarse(BeliefContractsError):
     """Oracle grid found no feasible point although the solver produced one."""
 
 
-class DimensionError(BeliefContractsError):
+class DimensionError(ValidationError):
     """Operation requires a specific number of states."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .beliefs import MlrpOrder, Monotonicity, Party, ProblemInstance
 from .errors import EpsilonTooLarge
-from .kernel import solve_ir_only
+from .kernel import _require_interior, solve_ir_only
 
 #: Wage differences below this are treated as flat when classifying schedules.
 FLAT_TOL = 1e-8
@@ -59,8 +59,9 @@ def solve_first_best(inst: ProblemInstance, action: str) -> FirstBestSolution:
     Raises:
         NoBracket: required utility level outside the family's range, or
             level not reachable in double precision.
-        DomainError: the answer pays a wage outside a tightened
-            ``wage_domain`` (risk sharing runs on the family's own domain).
+        KKTDegeneracy: the answer pays a wage outside a tightened
+            ``wage_domain`` (risk sharing runs on the family's own domain),
+            by the same test and message as ``solve_second_best``.
     """
     inst.require_positive_beliefs()
     act = inst.action(action)
@@ -71,8 +72,8 @@ def solve_first_best(inst: ProblemInstance, action: str) -> FirstBestSolution:
 
     v, w, lam = solve_ir_only(delta, q, model, level)
     ir_residual = float(q @ v) - level
-    # the checked u' is the test of the answer against a tightened wage_domain
-    foc = (delta - lam * q * np.asarray(model.marginal(w))) / delta
+    _require_interior(w, model)
+    foc = (delta - lam * q * np.asarray(model._u_prime(w))) / delta
     return FirstBestSolution(
         action=action,
         wages=tuple(float(x) for x in w),
@@ -105,20 +106,14 @@ def classify_monotonicity(wages, tol: float = FLAT_TOL) -> Monotonicity:
     return Monotonicity.NON_MONOTONE
 
 
-def check_prop1(classification: Monotonicity, order: MlrpOrder,
-                principal_is_f: bool = True) -> bool:
+def check_prop1(classification: Monotonicity, order: MlrpOrder) -> bool:
     """Whether a wage classification is consistent with the risk-sharing
     monotonicity result: principal-dominating beliefs allow only decreasing
     or flat wages, agent-dominating beliefs only increasing or flat.
 
     Args:
-        order: mlrp_compare(principal, agent) when principal_is_f, else
-            mlrp_compare(agent, principal).
+        order: mlrp_compare(principal, agent).
     """
-    if not principal_is_f:
-        flip = {MlrpOrder.F_DOMINATES_G: MlrpOrder.G_DOMINATES_F,
-                MlrpOrder.G_DOMINATES_F: MlrpOrder.F_DOMINATES_G}
-        order = flip.get(order, order)
     if order is MlrpOrder.F_DOMINATES_G:      # principal dominates agent
         return classification in (Monotonicity.DECREASING, Monotonicity.FLAT)
     if order is MlrpOrder.G_DOMINATES_F:      # agent dominates principal
@@ -144,14 +139,15 @@ class DirectionReport:
 
 
 def first_best_compstat(inst: ProblemInstance, action: str, s: int, s_prime: int,
-                        eps: float, tol: float = 1e-9):
+                        eps: float):
     """Re-solve after tilting principal beliefs by eps from s_prime onto s.
 
     The report checks the reallocation pattern: wage down at the state
     gaining probability, weakly up everywhere else, at least two strict
-    moves.  Exponential utility satisfies it exactly (unperturbed states do
-    not move there); families with wealth effects can push a bystander wage
-    down through the participation multiplier, which the report surfaces as
+    moves, a move counting as strict beyond ``FLAT_TOL``.  Exponential
+    utility satisfies it exactly (unperturbed states do not move there);
+    families with wealth effects can push a bystander wage down through the
+    participation multiplier, which the report surfaces as
     ``satisfied=False``.
 
     Returns:
@@ -167,16 +163,15 @@ def first_best_compstat(inst: ProblemInstance, action: str, s: int, s_prime: int
     base = solve_first_best(inst, action)
     pert = solve_first_best(tilted, action)
 
-    strict_tol = max(10.0 * tol, 1e-10)
     weak, n_strict = [], 0
     for t in range(inst.n_states):
         move = pert.wages[t] - base.wages[t]
         if t == s:
-            weak.append(move <= strict_tol)
-            n_strict += move < -strict_tol
+            weak.append(move <= FLAT_TOL)
+            n_strict += move < -FLAT_TOL
         else:
-            weak.append(move >= -strict_tol)
-            n_strict += move > strict_tol
+            weak.append(move >= -FLAT_TOL)
+            n_strict += move > FLAT_TOL
     satisfied = all(weak) and (eps == 0.0 or n_strict >= 2)
     return base, pert, DirectionReport(
         shifted_down=s, shifted_up=s_prime,

@@ -160,7 +160,7 @@ def _shifted_rhs(sp: SpreadProblem, m: float) -> tuple[float, float]:
     return ir, ic
 
 
-def inner_cost(sp: SpreadProblem, m: float, tol: float = 1e-9) -> InnerSolution:
+def inner_cost(sp: SpreadProblem, m: float) -> InnerSolution:
     """Solve the lumped 3-wage program at spread m.
 
     Participation binds; the incentive constraint binds when the
@@ -170,7 +170,7 @@ def inner_cost(sp: SpreadProblem, m: float, tol: float = 1e-9) -> InnerSolution:
     ir_rhs, ic_rhs = _shifted_rhs(sp, m)
     v, w, (lam, mu), active, _, _ = solve_dual(
         weights, np.vstack([sp.reduced_pi, sp.reduced_pi - sp.reduced_eta]),
-        np.array([ir_rhs, ic_rhs]), 0, sp.base.utility, tol)
+        np.array([ir_rhs, ic_rhs]), 0, sp.base.utility)
     return InnerSolution(m=float(m), cost=float(weights @ w), wages=tuple(float(x) for x in w),
                          utility_levels=tuple(float(x) for x in v),
                          lam=float(lam), mu=float(mu), ic_binding=bool(active[1]))
@@ -193,13 +193,13 @@ class _PinnedInner:
     ic_binding: bool
 
 
-def _pinned_inner(sp: SpreadProblem, m: float, tol: float) -> _PinnedInner:
+def _pinned_inner(sp: SpreadProblem, m: float) -> _PinnedInner:
     """4-state solve with the spread v_4 - v_3 = m pinned as an equality (the
     last row)."""
     weights = sp.delta4
     v, w, (lam, mu, nu), active, _, _ = solve_dual(
         weights, np.vstack([sp.pi4, sp.pi4 - sp.eta4, _SPREAD_ROW]),
-        np.array([sp.level, sp.cost_gap, m]), 1, sp.base.utility, tol)
+        np.array([sp.level, sp.cost_gap, m]), 1, sp.base.utility)
     return _PinnedInner(cost_total=float(weights @ w), v=tuple(float(x) for x in v),
                         wages=tuple(float(x) for x in w), lam=float(lam), mu=float(mu),
                         nu=float(nu), ic_binding=bool(active[1]))
@@ -221,7 +221,7 @@ class OuterSolution:
     trace: tuple[tuple[float, float, float, float], ...]
 
 
-def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
+def outer_minimize(sp: SpreadProblem) -> OuterSolution:
     """Minimize delta4' * M(m) + C(m) over the spread as a root of its multiplier.
 
     By the envelope theorem the outer derivative G'(m) is the multiplier nu on
@@ -242,7 +242,7 @@ def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
     if float(sp.delta4[3]) == 0.0 and float(sp.pi4[3]) == 0.0 and float(sp.eta4[3]) == 0.0:
         # objective constant in the spread: return m* = 0 by convention,
         # assembled from the lumped 3-wage solve
-        inner3 = inner_cost(sp, 0.0, tol=tol)
+        inner3 = inner_cost(sp, 0.0)
         pinned = _PinnedInner(
             cost_total=inner3.cost,
             v=inner3.utility_levels + (inner3.utility_levels[2],),
@@ -254,7 +254,7 @@ def outer_minimize(sp: SpreadProblem, tol: float = 1e-9) -> OuterSolution:
 
     def solve(m: float):
         """(m, nu, nu < 0, pinned solve), the point ``rtsafe`` takes."""
-        inner = _pinned_inner(sp, m, tol)
+        inner = _pinned_inner(sp, m)
         trace.append((float(m),) + _split(sp, inner))
         return m, inner.nu, inner.nu < 0.0, inner
 
@@ -355,10 +355,10 @@ class EquivalenceReport:
     outer_foc_residual: float
 
 
-def equivalence_report(sp: SpreadProblem, tol: float = 1e-9) -> EquivalenceReport:
+def equivalence_report(sp: SpreadProblem) -> EquivalenceReport:
     """Solve both ways and report the deltas (they agree at solver precision)."""
-    outer = outer_minimize(sp, tol=tol)
-    direct = solve_second_best(sp.base, sp.target, tol=tol)
+    outer = outer_minimize(sp)
+    direct = solve_second_best(sp.base, sp.target)
     wage_delta = max(abs(a - b) for a, b in zip(outer.wages, direct.wages))
     return EquivalenceReport(
         cost_iterative=outer.cost_total,

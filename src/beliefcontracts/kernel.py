@@ -37,7 +37,8 @@ by ``kkt_certificate``'s checks.
 directly, each on points their own interval tests have just admitted: the
 marginal utilities and wages of risk sharing, and the polish's iterates that
 passed ``in_range``.  ``solve_ir_only`` works on the family's own wage
-domain, so a tightened ``domain`` bounds the answer, not the computation.
+domain, so a tightened ``domain`` bounds the answer, not the computation;
+``_require_interior`` is that test of the answer, for both solvers.
 ``sensitivity`` keeps the checked public ``UtilityModel`` methods.
 """
 
@@ -112,6 +113,17 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     if not ((v > lo) & (v < hi)).all():
         raise unreachable
     return v, w, float(lam)
+
+
+def _require_interior(w, model: UtilityModel) -> None:
+    """Refuse an answer that pays a wage at or past an end of ``model``'s
+    (possibly tightened) wage domain: the cost is strictly convex, so the
+    optimum on that domain then lies at its end, where the interior
+    first-order conditions fail."""
+    lo, hi = model.wage_domain
+    if not ((w > lo) & (w < hi)).all():
+        raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
+                            "conditions fail (no interior solution exists)")
 
 
 def rtsafe(f, slope, lo, hi, step_tol, width):

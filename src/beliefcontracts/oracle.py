@@ -260,8 +260,7 @@ class AuditReport:
 
 
 def oracle_audit(inst: ProblemInstance, target: str, grid: GridSpec,
-                 mode: SolverKind = SolverKind.SECOND_BEST,
-                 tol: float = 1e-9) -> AuditReport:
+                 mode: SolverKind = SolverKind.SECOND_BEST) -> AuditReport:
     """Run solver and oracle side by side and compare costs.
 
     The oracle relaxes every incentive row by constraint_tol too, so in
@@ -283,7 +282,7 @@ def oracle_audit(inst: ProblemInstance, target: str, grid: GridSpec,
         solver_cost = solve_first_best(inst, target).expected_cost_principal
         relaxation = 0.0
     elif mode is SolverKind.SECOND_BEST:
-        sol = solve_second_best(inst, target, tol=tol)
+        sol = solve_second_best(inst, target)
         solver_cost = sol.expected_cost_principal
         relaxation = grid.tol * sum(sol.mu)
     else:

@@ -30,6 +30,7 @@ import math
 
 from .beliefs import ActionSpec, Distribution, ProblemInstance
 from .errors import ParseError, ValidationError
+from .second_best import _FEASIBILITY_TOL
 from .utility import utility_from_name
 
 SCHEMA_VERSION = "1"
@@ -193,11 +194,11 @@ def serialize_problem(inst: ProblemInstance) -> str:
     return dump_json(doc) + "\n"
 
 
-def first_best_payload(sol, tol: float) -> dict:
+def first_best_payload(sol) -> dict:
     return {
         "solver": "first-best",
         "action": sol.action,
-        "tolerance": tol,
+        "tolerance": _FEASIBILITY_TOL,
         "wages": list(sol.wages),
         "utility_levels": list(sol.utility_levels),
         "lambda": sol.lam,
@@ -208,12 +209,12 @@ def first_best_payload(sol, tol: float) -> dict:
     }
 
 
-def second_best_payload(sol, inst: ProblemInstance, tol: float) -> dict:
+def second_best_payload(sol, inst: ProblemInstance) -> dict:
     others = [a.name for a in inst.other_actions(sol.target)]
     return {
         "solver": "second-best",
         "action": sol.target,
-        "tolerance": tol,
+        "tolerance": _FEASIBILITY_TOL,
         "wages": list(sol.wages),
         "utility_levels": list(sol.utility_levels),
         "lambda": sol.lam,

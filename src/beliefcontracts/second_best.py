@@ -28,9 +28,12 @@ from .beliefs import (MlrpOrder, Monotonicity, ProblemInstance, mlrp_compare)
 from .errors import (DimensionError, Infeasible, KKTDegeneracy, Unbounded,
                      ValidationError)
 from .first_best import classify_monotonicity, solve_first_best
-from .kernel import minimize_on_affine, solve_ir_only
+from .kernel import _require_interior, minimize_on_affine, solve_ir_only
 
 _MAX_DUAL = 20
+#: the one feasibility tolerance of the second-best programs: binding rows
+#: hold within it, and an incentive constraint holds at slack >= -it
+_FEASIBILITY_TOL = 1e-9
 _EMPTY = "the multipliers certify an empty constraint set (a Farkas certificate)"
 
 
@@ -80,11 +83,12 @@ def risk_sharing(inst: ProblemInstance, target: str):
     """(v, lam, incentive slacks) of the risk-sharing contract for ``target``.
 
     This is the contract ``solve_dual`` starts from and its only candidate
-    when no slack is below -tol (the same ``solve_ir_only`` call and the same
-    slacks, row by row); past that test some incentive multiplier stays positive, or v would
-    be this contract.  So wherever ``solve_second_best(inst, target, tol)``
-    returns, ``coincides_with_first_best`` holds exactly when no slack here is
-    below -tol, and then its utility levels, lam and ic_slacks are these.
+    when no slack is below -tol, tol = ``_FEASIBILITY_TOL`` (the same
+    ``solve_ir_only`` call and the same slacks, row by row); past that test
+    some incentive multiplier stays positive, or v would be this contract.
+    So wherever ``solve_second_best(inst, target)`` returns,
+    ``coincides_with_first_best`` holds exactly when no slack here is below
+    -tol, and then its utility levels, lam and ic_slacks are these.
     """
     act = inst.action(target)
     q, rows, rhs = _ic_rows(inst, target)
@@ -140,7 +144,7 @@ def _kkt_checks(foc, binding, slacks, mu, tol: float, kkt_tol: float):
         ("complementary slackness", comp <= kkt_tol)) if not ok), None)
 
 
-def solve_dual(weights, M, r, n_eq: int, model, tol: float):
+def solve_dual(weights, M, r, n_eq: int, model):
     """Minimize sum_s weights_s h(v_s) s.t. M_i v >= r_i on the first
     m - n_eq rows (row 0 is participation), M_i v = r_i on the last n_eq and
     wages in ``model.wage_domain``, by projected Newton ascent on the concave
@@ -157,12 +161,13 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     with grad_i <= 0, or 0 with d_i < 0; there d_i = -theta_i), and halves
     alpha in P(theta + alpha d) until the dual value rises by Armijo's rule
     (at its rounding level: until the projected gradient pg shrinks).  It
-    stops at |pg| <= 1e-12 max(1, |r|) with sum |theta pg| <= tol, trying
-    full steps only below that |pg|.  The candidates are the risk-sharing
-    contract when no incentive slack is below -tol, else the converged point,
-    else (after 20 steps) ``minimize_on_affine``'s polish of v(theta) on the
-    active rows and then the stalled iterate; the first that passes
-    ``kkt_certificate``'s checks at (tol, 1e-8), on the expressions
+    stops at |pg| <= 1e-12 max(1, |r|) with sum |theta pg| <= tol, tol =
+    ``_FEASIBILITY_TOL``, trying full steps only below that |pg|.  The
+    candidates are the risk-sharing contract when no incentive slack is below
+    -tol, else the converged point, else (after 20 steps)
+    ``minimize_on_affine``'s polish of v(theta) on the active rows and then
+    the stalled iterate; the first that passes ``kkt_certificate``'s checks
+    at (tol, 1e-8), on the expressions
     ``solve_second_best`` reports, is returned as (v, wages, theta, active rows,
     foc residuals, row residuals M_i v - r_i), the last two as lists of floats.
 
@@ -170,9 +175,10 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     has d.r > sum_s max(c_s lo, c_s hi), c = M^T d, above the d.r <= c.v of
     any feasible v (Farkas; Boyd & Vandenberghe, *Convex Optimization*,
     section 5.8), or at |theta| > 1e12 (divergence).  KKTDegeneracy for a
-    candidate wage at an end of ``model.wage_domain`` (a boundary optimum),
-    or when no candidate passes: the polish's own if it raised one, else one
-    naming each candidate's failed check.
+    candidate wage at an end of ``model.wage_domain`` (a boundary optimum,
+    ``solve_first_best``'s test too), or when no candidate passes: the
+    polish's own if it raised one, else one naming each candidate's failed
+    check.
     """
     weights = np.asarray(weights, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -181,19 +187,17 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     n_ineq = m - n_eq
     sign = np.arange(m) < n_ineq
     family = replace(model, domain=None) if model.domain is not None else model
-    (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, family.utility_range
+    v_lo, v_hi = family.utility_range
 
     def checked(v, w, theta):
         """(foc, row residuals, the first check the candidate fails or None);
         u' runs on wages its first test admitted."""
-        if not ((w > w_lo) & (w < w_hi)).all():
-            raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
-                                "conditions fail (no interior solution exists)")
+        _require_interior(w, model)
         resid = [float(row @ v - rv) for row, rv in zip(M, r)]
         foc = ((weights - (theta @ M) * np.asarray(model._u_prime(w), dtype=float))
                / weights).tolist()
         return foc, resid, _kkt_checks(foc, resid[:1] + resid[n_ineq:], resid[1:n_ineq],
-                                       theta[1:n_ineq].tolist(), tol, 1e-8)[1]
+                                       theta[1:n_ineq].tolist(), _FEASIBILITY_TOL, 1e-8)[1]
 
     v, w, lam = solve_ir_only(weights, M[0], model, r[0])
     theta = np.zeros(m)
@@ -202,7 +206,8 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     no = np.zeros(S, bool)
     cur = (theta, w, v, no, no, grad, float(weights @ w + theta @ grad))
     # the risk-sharing contract is the candidate when nothing else fails by over tol
-    converged = n_eq == 0 and all(row @ v - rv >= -tol for row, rv in zip(M[1:], r[1:]))
+    converged = n_eq == 0 and all(row @ v - rv >= -_FEASIBILITY_TOL
+                                  for row, rv in zip(M[1:], r[1:]))
 
     abs_MT = np.abs(M.T)
     floor = np.where(sign, 0.0, -np.inf)     # theta >= 0 on the inequality rows
@@ -230,7 +235,7 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
         pg_norm = float(np.abs(pg).max())
         # large multipliers can leave theta_i * slack_i above tol: full steps go on
         small = pg_norm <= 1e-12 * r_scale
-        converged = small and float(np.abs(theta) @ np.abs(pg)) <= tol
+        converged = small and float(np.abs(theta) @ np.abs(pg)) <= _FEASIBILITY_TOL
         if converged or step == _MAX_DUAL:
             break
         if np.abs(theta).max() > 1e12:
@@ -298,16 +303,16 @@ def solve_dual(weights, M, r, n_eq: int, model, tol: float):
     raise KKTDegeneracy("no candidate passes the KKT checks: " + "; ".join(failures))
 
 
-def solve_second_best(inst: ProblemInstance, target: str,
-                      tol: float = 1e-9) -> SecondBestSolution:
+def solve_second_best(inst: ProblemInstance, target: str) -> SecondBestSolution:
     """Solve the hidden-action cost-minimization program for ``target``.
+
+    An incentive constraint counts as satisfied at slack >= -1e-9
+    (``_FEASIBILITY_TOL``), and participation holds within it.  Wages are
+    bounded by the utility model's (possibly tightened) open wage domain.
 
     Args:
         inst: two or more actions, strictly positive beliefs.
         target: the action to implement.
-        tol: feasibility/stationarity tolerance.  An incentive constraint
-            counts as satisfied at slack >= -tol.  Wages are bounded by the
-            utility model's (possibly tightened) open wage domain.
 
     Raises:
         Infeasible, Unbounded, KKTDegeneracy: see errors and ``solve_dual``.
@@ -322,7 +327,7 @@ def solve_second_best(inst: ProblemInstance, target: str,
     q, ic_rows, ic_rhs = _ic_rows(inst, target)
     M = np.vstack([q] + ic_rows)
     v, w, theta, active, foc, resid = solve_dual(delta, M, np.array([level] + ic_rhs), 0,
-                                                 model, tol)
+                                                 model)
     lam = float(theta[0])
     if lam <= 0.0:
         raise KKTDegeneracy(f"participation multiplier came out non-positive ({lam})")
@@ -405,7 +410,7 @@ class ActionChoiceReport:
     fb_cost_high_exceeds_low: bool | None
 
 
-def choose_action(inst: ProblemInstance, tol: float = 1e-9) -> ActionChoiceReport:
+def choose_action(inst: ProblemInstance) -> ActionChoiceReport:
     """Pick the profit-maximizing action given its optimal incentive scheme.
 
     Profit per action is expected revenue under the principal's beliefs for
@@ -415,7 +420,7 @@ def choose_action(inst: ProblemInstance, tol: float = 1e-9) -> ActionChoiceRepor
     y = np.asarray(inst.outputs, dtype=float)
     entries = []
     for act in inst.actions:
-        sol = solve_second_best(inst, act.name, tol=tol)
+        sol = solve_second_best(inst, act.name)
         fb = solve_first_best(inst, act.name)
         revenue = float(act.principal_beliefs.as_array() @ y)
         entries.append(ActionEntry(

@@ -194,14 +194,27 @@ def compare(label: str, old: dict, new: dict) -> None:
                   f"{_largest(moves)}")
 
 
+class _Once(argparse.Action):
+    """Store the flag's value; a second use of the flag is an error, not a
+    silent override of the first (one value holds for every seed)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in vars(namespace).setdefault("_given", set()):
+            parser.error(f"{option_string} given more than once")
+        namespace._given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old_src", type=Path)
     p.add_argument("new_src", type=Path)
-    p.add_argument("--solve-mix", type=int, nargs="*", default=[], metavar="SEED")
-    p.add_argument("--driver-mix", type=int, nargs="*", default=[], metavar="SEED")
-    p.add_argument("--ops", type=int, default=3000)
-    p.add_argument("--kinds", default=",".join(DRIVER_KINDS),
+    p.add_argument("--solve-mix", type=int, nargs="*", default=[], metavar="SEED",
+                   action=_Once)
+    p.add_argument("--driver-mix", type=int, nargs="*", default=[], metavar="SEED",
+                   action=_Once)
+    p.add_argument("--ops", type=int, default=3000, action=_Once)
+    p.add_argument("--kinds", default=",".join(DRIVER_KINDS), action=_Once,
                    help="comma-separated driver_mix kinds (default: %(default)s)")
     args = p.parse_args(argv)
     kinds = args.kinds.split(",")

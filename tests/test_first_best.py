@@ -36,13 +36,20 @@ class TestSolveFirstBest:
     def test_answer_outside_a_tightened_wage_domain_is_refused(self):
         # the free first-best of log_wage_domain.json pays 0.5946 in its
         # lowest state; a lower end 1e-3 above that wage leaves the answer
-        # outside the domain, while risk sharing itself runs on the family's
+        # outside the domain, while risk sharing itself runs on the family's;
+        # both solvers refuse it by one wage test, with one class and message
         doc = json.loads((DATA / "log_wage_domain.json").read_text())
         doc["utility"]["wage_domain"] = None
         low = min(bc.solve_first_best(bc.parse_problem(json.dumps(doc)), "H").wages)
         doc["utility"]["wage_domain"] = [low + 1e-3, 20.0]
-        with pytest.raises(bc.DomainError, match="wage must lie in the open interval"):
-            bc.solve_first_best(bc.parse_problem(json.dumps(doc)), "H")
+        tight = bc.parse_problem(json.dumps(doc))
+        refusals = []
+        for solve in (bc.solve_first_best, bc.solve_second_best):
+            with pytest.raises(bc.KKTDegeneracy,
+                               match="optimum at the utility-range boundary") as exc:
+                solve(tight, "H")
+            refusals.append((type(exc.value), str(exc.value)))
+        assert refusals[0] == refusals[1]
 
     def test_cara_two_state_closed_form(self):
         # e^{-w_s} = -(principal_s / agent_s)(ubar + c)

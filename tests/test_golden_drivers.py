@@ -100,7 +100,7 @@ def _inner(sp, m) -> dict:
 
 
 def _pinned(sp, m) -> dict:
-    pinned = iterative._pinned_inner(sp, m, 1e-9)
+    pinned = iterative._pinned_inner(sp, m)
     return {"cost": repr(float(pinned.cost_total)), "wages": _floats(pinned.wages),
             "v": _floats(pinned.v),
             "multipliers": _floats((pinned.lam, pinned.mu, pinned.nu)),

@@ -112,6 +112,23 @@ class TestParse:
         assert float(dump_json(math.pi)) == math.pi
 
 
+#: arguments on which each command exits 0
+CLI_ARGS = {
+    "solve-first-best": ("--problem", str(DATA / "log_binding.json")),
+    "solve-second-best": ("--problem", str(DATA / "log_binding.json")),
+    "choose-action": ("--problem", str(DATA / "log_two_state.json")),
+    "compstat": ("--problem", str(DATA / "cara_three_state.json"), "--states", "1,2",
+                 "--eps-grid", "0:0.08:3"),
+    "detect-regime": ("--problem", str(DATA / "log_two_state.json"), "--states", "0,1",
+                      "--eps-max", "0.44"),
+    "mlrp": ("--f", "0.1,0.3,0.6", "--g", "0.6,0.3,0.1"),
+    "reduce": ("--p", "0.1,0.2,0.3,0.4", "--keep", "2"),
+    "iterate4": ("--problem", str(DATA / "cara_four_state.json")),
+    "oracle-audit": ("--problem", str(DATA / "log_binding.json"), "--points", "120"),
+    "figure-data": ("--problem", str(DATA / "log_binding.json")),
+}
+
+
 class TestCli:
     def run(self, *argv):
         import contextlib
@@ -200,17 +217,38 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["eps_star"] == pytest.approx(0.2112, abs=1e-3)
 
-    @pytest.mark.parametrize("argv", [
-        ("detect-regime", "--problem", str(DATA / "log_two_state.json"), "--states", "0,1",
-         "--eps-max", "0.44"),
-        ("figure-data", "--problem", str(DATA / "log_binding.json")),
+    @pytest.mark.parametrize("cmd, flag", [
+        *[(cmd, ("--tol", "1e-9")) for cmd in (
+            "solve-first-best", "solve-second-best", "choose-action", "compstat",
+            "iterate4", "oracle-audit")],
+        ("detect-regime", ("--tol", "1e-3")), ("figure-data", ("--tol", "1e-3")),
+        *[(cmd, ("--format", "json")) for cmd in (
+            "solve-first-best", "solve-second-best", "choose-action", "detect-regime",
+            "mlrp", "reduce", "iterate4", "oracle-audit")],
+        ("choose-action", ("--action", "H")),
     ])
-    def test_tol_is_refused_where_it_would_be_dropped(self, capsys, argv):
-        # neither command passes a tolerance on, so argparse refuses the flag
-        code, out = self.run(*argv, "--tol", "1e-3")
+    def test_removed_flag_is_refused(self, capsys, cmd, flag):
+        # the solvers have one tolerance, these commands write only JSON and
+        # choose-action solves every action: argparse refuses each such flag
+        argv = (cmd, *CLI_ARGS[cmd])
+        code, out = self.run(*argv, *flag)
         assert code == 2 and out == ""
-        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert self.run(*argv)[0] == 0
+
+    @pytest.mark.parametrize("argv, error", [
+        (("reduce", "--p", "0.2,0.3,0.5", "--keep", "7"), "InvalidReduction"),
+        (("mlrp", "--f", "0.5,0.5", "--g", "0.2,0.3,0.5"), "LengthMismatch"),
+        (("figure-data", "--problem", str(DATA / "cara_three_state.json")), "DimensionError"),
+        (("compstat", "--problem", str(DATA / "cara_three_state.json"), "--states", "1,2",
+          "--eps-grid", "0:0.9:3"), "EpsilonTooLarge"),
+        (("detect-regime", "--problem", str(DATA / "log_two_state.json"), "--states", "0,1",
+          "--eps-max", "0.99"), "EpsilonTooLarge"),
+    ])
+    def test_invalid_input_is_an_input_error(self, capsys, argv, error):
+        code, out = self.run(*argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error[{error}]: ")
 
     def test_input_error_exit_code(self):
         code, _ = self.run("solve-second-best", "--problem", "/nonexistent.json")

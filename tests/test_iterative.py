@@ -161,7 +161,7 @@ class TestOuter:
         from beliefcontracts.iterative import _pinned_inner
         sp = optimistic_agent_spread()
         for m in (0.0, 0.2, 0.5, 1.0):
-            for inner in (bc.inner_cost(sp, m), _pinned_inner(sp, m, 1e-9)):
+            for inner in (bc.inner_cost(sp, m), _pinned_inner(sp, m)):
                 assert inner.ic_binding is False
                 assert inner.mu == 0.0
         rep = bc.equivalence_report(sp)
@@ -220,11 +220,11 @@ class TestOuter:
         edge = 0.5 * (m_direct + first_probe)
         refused = []
 
-        def edged(sp, m, tol):
+        def edged(sp, m):
             if m > edge:
                 refused.append(m)
                 raise bc.Infeasible("beyond the test's feasibility edge")
-            return pinned(sp, m, tol)
+            return pinned(sp, m)
 
         monkeypatch.setattr(iterative, "_pinned_inner", edged)
         out = bc.outer_minimize(sp)
@@ -237,10 +237,10 @@ class TestOuter:
         from beliefcontracts import iterative
         pinned = iterative._pinned_inner
 
-        def only_zero(sp, m, tol):
+        def only_zero(sp, m):
             if m != 0.0:
                 raise bc.Infeasible("only m = 0 is admissible here")
-            return pinned(sp, m, tol)
+            return pinned(sp, m)
 
         monkeypatch.setattr(iterative, "_pinned_inner", only_zero)
         with pytest.raises(bc.NoBracket):
@@ -276,9 +276,9 @@ class TestOuter:
         rng = np.random.default_rng(52)
         for _ in range(10):
             m1, m2 = sorted(rng.uniform(0.0, 0.8, 2))
-            g1 = _pinned_inner(sp, float(m1), 1e-9).cost_total
-            g2 = _pinned_inner(sp, float(m2), 1e-9).cost_total
-            mid = _pinned_inner(sp, float(0.5 * (m1 + m2)), 1e-9).cost_total
+            g1 = _pinned_inner(sp, float(m1)).cost_total
+            g2 = _pinned_inner(sp, float(m2)).cost_total
+            mid = _pinned_inner(sp, float(0.5 * (m1 + m2))).cost_total
             assert mid <= 0.5 * (g1 + g2) + 1e-10
 
 
@@ -305,7 +305,7 @@ class TestSpreadMultiplierSlope:
         checked = {True: 0, False: 0}
         for m in ms:
             try:
-                lo, mid, hi = (_pinned_inner(sp, m + dm, 1e-9) for dm in (-self.H, 0.0, self.H))
+                lo, mid, hi = (_pinned_inner(sp, m + dm) for dm in (-self.H, 0.0, self.H))
             except bc.BeliefContractsError:
                 continue              # outside the admissible spreads of this draw
             assert lo.ic_binding is mid.ic_binding is hi.ic_binding

@@ -233,7 +233,7 @@ def assert_affine_contract(weights, M, r, model):
     """Started from the dual ascent's point (every row but participation an
     equality), the returned point is feasible to rounding, strictly interior,
     and its multipliers meet the first-order conditions state by state."""
-    start = second_best.solve_dual(weights, M, r, len(M) - 1, model, 1e-9)[0]
+    start = second_best.solve_dual(weights, M, r, len(M) - 1, model)[0]
     sol = kernel.minimize_on_affine(weights, M, r, model, start)
     v, theta = np.asarray(sol.v), np.asarray(sol.multipliers)
     assert np.abs(M @ v - r).max() <= 1e-12 * max(1.0, np.abs(r).max())

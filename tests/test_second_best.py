@@ -340,7 +340,7 @@ class TestRiskSharingSlack:
         for k in range(1440):
             inst, target = many_action_draw(k)
             try:
-                sol = bc.solve_second_best(inst, target, tol=1e-9)
+                sol = bc.solve_second_best(inst, target)
             except bc.BeliefContractsError:
                 continue
             v, lam, slacks = risk_sharing(inst, target)
