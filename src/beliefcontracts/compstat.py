@@ -17,8 +17,8 @@ import numpy as np
 from .beliefs import Monotonicity, Party, ProblemInstance, SolverKind
 from .errors import BeliefContractsError, ValidationError
 from .first_best import VERDICT_TOL, classify_monotonicity, solve_first_best
-from .kernel import rtsafe, sensitivity
-from .second_best import _FEASIBILITY_TOL, risk_sharing, solve_second_best
+from .kernel import _interior, rtsafe, sensitivity, sharing_stack
+from .second_best import _FEASIBILITY_TOL, _solve_each, risk_sharing, solve_second_best
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,11 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
     if not isinstance(solver, SolverKind):
         raise ValidationError(f"unknown solver {solver!r}")
 
+    tilted = [inst.tilted(party, which_action, s, s_prime, eps) for eps in eps_values]
     rows, lams, mus, power_a, power_p, coincides, failed = [], [], [], [], [], [], []
-    for i, eps in enumerate(eps_values):
-        tilted = inst.tilted(party, which_action, s, s_prime, eps)
-        try:
-            if solver is SolverKind.FIRST_BEST:
-                sol = solve_first_best(tilted, action)
-                lam, mu, coin = sol.lam, 0.0, True
-            else:
-                sol = solve_second_best(tilted, action)
-                lam = sol.lam
-                mu = sol.mu[0] if len(sol.mu) == 1 else float(sum(sol.mu))
-                coin = sol.coincides_with_first_best
-        except BeliefContractsError:
+    solve = _first_best_each if solver is SolverKind.FIRST_BEST else _second_best_each
+    for i, (t, sol) in enumerate(zip(tilted, solve(tilted, action))):
+        if isinstance(sol, BeliefContractsError):
             rows.append((float("nan"),) * S)
             lams.append(float("nan"))
             mus.append(float("nan"))
@@ -86,8 +78,8 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
             coincides.append(False)
             failed.append(i)
             continue
-        w = np.asarray(sol.wages, dtype=float)
-        t_act = tilted.action(action)
+        w, lam, mu, coin = sol
+        t_act = t.action(action)
         rows.append(tuple(float(x) for x in w))
         lams.append(float(lam))
         mus.append(float(mu))
@@ -114,6 +106,54 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
         coincides_path=tuple(coincides),
         failed_rows=tuple(failed),
     )
+
+
+def _second_best_each(tilted, action: str) -> list:
+    """(wages, lam, mu, coincides) of ``solve_second_best`` on each tilted
+    instance, or its refusal: one program stack (``second_best._solve_each``);
+    mu is the lone incentive multiplier, or the sum of several."""
+    out = []
+    for sol in _solve_each(tilted, action):
+        if not isinstance(sol, BeliefContractsError):
+            mu = sol.mu[0] if len(sol.mu) == 1 else float(sum(sol.mu))
+            sol = (np.asarray(sol.wages), sol.lam, mu, sol.coincides_with_first_best)
+        out.append(sol)
+    return out
+
+
+def _first_best_each(tilted, action: str) -> list:
+    """(wages, lam, 0, True) of ``solve_first_best`` on each tilted instance,
+    or its refusal.  The rows whose beliefs pass share one
+    ``kernel.sharing_stack`` call, bit for bit ``solve_ir_only``; a row it
+    refuses, or whose wages leave a tightened domain, is solved alone, so
+    ``solve_first_best`` raises its refusal."""
+    out, rows, acts = [], [], []
+    for t in tilted:
+        try:
+            t.require_positive_beliefs()
+            acts.append(t.action(action))
+        except BeliefContractsError as exc:
+            out.append(exc)
+            continue
+        rows.append(len(out))
+        out.append(None)
+    if rows:
+        model = tilted[rows[0]].utility
+        _, w, lam, ok = sharing_stack(
+            np.array([a.principal_beliefs.as_array() for a in acts]),
+            np.array([a.agent_beliefs.as_array() for a in acts]), model,
+            tilted[rows[0]].reservation_utility + acts[0].cost)
+        ok &= _interior(w, model)
+        for j, i in enumerate(rows):
+            if ok[j]:
+                out[i] = (w[j], lam[j], 0.0, True)
+                continue
+            try:
+                sol = solve_first_best(tilted[i], action)
+                out[i] = (np.asarray(sol.wages), sol.lam, 0.0, True)
+            except BeliefContractsError as exc:
+                out[i] = exc
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ Everything here works in promised-utility space (v_s = u(w_s)), where the
 participation and incentive constraints are linear and the objective
 sum_s weight_s * h(v_s) is convex because h = u^-1 is convex.
 
-Four entry points: risk sharing, the one scalar root-finder, one
-sensitivity and the null-space polish.
+Four entry points: risk sharing (one row or a stack), the one scalar
+root-finder, one sensitivity and the null-space polish.
 
 ``solve_ir_only``
     Risk sharing against a single binding expected-utility constraint: its
     multiplier is the family's closed form, with no search; every
-    first-best and second-best solve starts here.
+    first-best and second-best solve starts here.  ``sharing_stack`` is the
+    same computation on a stack of rows, bit for bit each row's
+    ``solve_ir_only``: the closed forms are elementwise or reduce along the
+    last axis only, by ``np.vecdot`` and ``.sum(-1)``.
 
 ``rtsafe``
     Newton's method safeguarded by bisection on a sign bracket, for every
@@ -33,10 +36,11 @@ at a relative stationarity of 1e-13 or when a step no longer lowers it.
 The polish does not judge its point: ``solve_dual`` accepts or refuses it
 by ``kkt_certificate``'s checks.
 
-``solve_ir_only`` and ``minimize_on_affine`` call the family's closed forms
-directly, each on points their own interval tests have just admitted: the
-marginal utilities and wages of risk sharing, and the polish's iterates that
-passed ``in_range``.  ``solve_ir_only`` works on the family's own wage
+``sharing_stack`` and ``minimize_on_affine`` call the family's closed forms
+directly and keep only values their own interval tests admit: the marginal
+utilities, wages and utilities of risk sharing (by its masks), and the
+polish's iterates that passed ``in_range``.  Risk sharing works on the
+family's own wage
 domain, so a tightened ``domain`` bounds the answer, not the computation;
 ``_require_interior`` is that test of the answer, for both solvers.
 ``sensitivity`` keeps the checked public ``UtilityModel`` methods.
@@ -73,9 +77,9 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
     w_s = (u')^-1(m_s) with m_s = weights_s / (probs_s lam), and the
     constraint is a power, a log or a reciprocal in lam: the family's closed
     form gives lam, and the closed forms (u')^-1 and u give the wages and
-    utilities, each on values the test before it admitted, on the family's
-    own domain (``domain`` dropped), so each caller checks the answer against
-    ``model`` itself.
+    utilities, on the family's own domain (``domain`` dropped), so each
+    caller checks the answer against ``model`` itself.  ``sharing_stack``
+    is the computation, on one row.
 
     Raises:
         NoBracket: rhs outside ``model``'s utility range, or not reachable in
@@ -87,32 +91,49 @@ def solve_ir_only(weights: np.ndarray, probs: np.ndarray, model: UtilityModel,
         (v, wages, lam) with v_s = u(w_s) strictly inside the family's
         utility range.
     """
-    weights = np.asarray(weights, dtype=float)
-    probs = np.asarray(probs, dtype=float)
     if not model.contains_utility(rhs):
         raise NoBracket(
             f"required expected utility {rhs} is outside the range "
             f"{model.utility_range} of the {model.family} family")
+    v, w, lam, ok = sharing_stack(weights, probs, model, rhs)
+    if not ok:
+        raise NoBracket(f"required expected utility {rhs} is not reachable in double "
+                        f"precision by the {model.family} family")
+    return v, w, float(lam)
+
+
+def sharing_stack(weights, probs, model: UtilityModel, rhs):
+    """``solve_ir_only`` on the rows of a stack: weights and probs (..., S),
+    rhs a scalar or one level per row.  Returns (v, wages, lam, ok), ok
+    false on each row ``solve_ir_only`` refuses: its level outside
+    ``model``'s utility range, or a marginal utility, wage or utility
+    outside the family's open interval (which holds 0 < lam < inf too).
+    Every closed form is elementwise or reduces along the last axis only
+    (``_sharing_multiplier``), so each row has the bits of the 1-D call.
+    """
+    weights = np.asarray(weights, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    v_lo, v_hi = model.utility_range
+    reachable = (v_lo < rhs) & (rhs < v_hi)
     if model.domain is not None:
         model = replace(model, domain=None)
-    unreachable = NoBracket(f"required expected utility {rhs} is not reachable in double "
-                            f"precision by the {model.family} family")
-
     ratio = weights / probs
-    with np.errstate(all="ignore"):       # past double precision: refused below
+    with np.errstate(all="ignore"):       # past double precision: refused by the masks
         lam = model._sharing_multiplier(ratio, probs, rhs)
-        m = ratio / lam
-        if not ((m > 0.0) & (m < np.inf)).all():      # so 0 < lam < inf too
-            raise unreachable
+        m = ratio / lam[..., None]
         w = np.asarray(model._u_prime_inv(m), dtype=float)
-        lo, hi = model.wage_domain
-        if not ((w > lo) & (w < hi)).all():
-            raise unreachable
         v = np.asarray(model._u(w), dtype=float)
-    lo, hi = model.utility_range
-    if not ((v > lo) & (v < hi)).all():
-        raise unreachable
-    return v, w, float(lam)
+    (lo, hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
+    ok = reachable & ((m > 0.0) & (m < np.inf) & (w > lo) & (w < hi)
+                      & (v > v_lo) & (v < v_hi)).all(-1)
+    return v, w, lam, ok
+
+
+def _interior(w, model: UtilityModel):
+    """Per row of ``w`` (..., S): every wage strictly inside ``model``'s
+    (possibly tightened) wage domain."""
+    lo, hi = model.wage_domain
+    return ((w > lo) & (w < hi)).all(-1)
 
 
 def _require_interior(w, model: UtilityModel) -> None:
@@ -120,8 +141,7 @@ def _require_interior(w, model: UtilityModel) -> None:
     (possibly tightened) wage domain: the cost is strictly convex, so the
     optimum on that domain then lies at its end, where the interior
     first-order conditions fail."""
-    lo, hi = model.wage_domain
-    if not ((w > lo) & (w < hi)).all():
+    if not _interior(w, model):
         raise KKTDegeneracy("optimum at the utility-range boundary: interior first-order "
                             "conditions fail (no interior solution exists)")
 

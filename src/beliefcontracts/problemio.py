@@ -198,7 +198,6 @@ def first_best_payload(sol) -> dict:
     return {
         "solver": "first-best",
         "action": sol.action,
-        "tolerance": _FEASIBILITY_TOL,
         "wages": list(sol.wages),
         "utility_levels": list(sol.utility_levels),
         "lambda": sol.lam,

@@ -16,6 +16,13 @@ delta_s h'(v_s) = lam q_s + sum_i mu_i (q_s - q^i_s), so lam and mu are the
 dual iterate (or a polish's fit, see kernel).  The principal's beliefs about
 non-target actions never enter the contract, only the action choice.  The
 spread decomposition's inner programs (see iterative) run on ``solve_dual``.
+
+``solve_dual_stack`` runs the same ascent on a stack of programs of one
+shape at once, each program on its own axis, for a driver whose many solves
+are neighbours (``compstat.sweep``'s eps grid).  A program that leaves the
+converging path is handed back to ``solve_dual`` and solved alone, so the
+polish and every refusal stay there.  A single solve keeps ``solve_dual``:
+at one program the stack is the slower path.
 """
 
 from __future__ import annotations
@@ -25,10 +32,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beliefs import (MlrpOrder, Monotonicity, ProblemInstance, mlrp_compare)
-from .errors import (DimensionError, Infeasible, KKTDegeneracy, Unbounded,
-                     ValidationError)
+from .errors import (BeliefContractsError, DimensionError, Infeasible, KKTDegeneracy,
+                     Unbounded, ValidationError)
 from .first_best import classify_monotonicity, solve_first_best
-from .kernel import _require_interior, minimize_on_affine, solve_ir_only
+from .kernel import (_interior, _require_interior, minimize_on_affine, sharing_stack,
+                     solve_ir_only)
 
 _MAX_DUAL = 20
 #: the one feasibility tolerance of the second-best programs: binding rows
@@ -130,6 +138,15 @@ def _dual_point(theta, weights, M, r, model):
     return theta, w, v, low, high, grad, float(weights @ w + theta @ grad)
 
 
+def _kkt_tests(numbers, tol: float, kkt_tol: float):
+    """(name, passed) of each check on ``_kkt_checks``' five numbers, in
+    order; on a stack of numbers, ``passed`` is one flag per program."""
+    stat, resid, min_slack, min_mu, comp = numbers
+    return (("a binding-row residual", resid <= tol), ("incentive feasibility", min_slack >= -tol),
+            ("stationarity", stat <= kkt_tol), ("multiplier sign", min_mu >= -kkt_tol),
+            ("complementary slackness", comp <= kkt_tol))
+
+
 def _kkt_checks(foc, binding, slacks, mu, tol: float, kkt_tol: float):
     """``KktReport``'s first five numbers and the first check failed (None if
     none): binding rows (participation, equalities) within tol, incentive
@@ -137,11 +154,8 @@ def _kkt_checks(foc, binding, slacks, mu, tol: float, kkt_tol: float):
     kkt_tol.  Sequences of floats: few enough that numpy would only add cost."""
     numbers = (max(map(abs, foc)), max(map(abs, binding)), min(slacks, default=0.0),
                min(mu, default=0.0), max((abs(m * s) for m, s in zip(mu, slacks)), default=0.0))
-    stat, resid, min_slack, min_mu, comp = numbers
-    return numbers, next((name for name, ok in (
-        ("a binding-row residual", resid <= tol), ("incentive feasibility", min_slack >= -tol),
-        ("stationarity", stat <= kkt_tol), ("multiplier sign", min_mu >= -kkt_tol),
-        ("complementary slackness", comp <= kkt_tol)) if not ok), None)
+    return numbers, next((name for name, ok in _kkt_tests(numbers, tol, kkt_tol) if not ok),
+                         None)
 
 
 def solve_dual(weights, M, r, n_eq: int, model):
@@ -303,6 +317,262 @@ def solve_dual(weights, M, r, n_eq: int, model):
     raise KKTDegeneracy("no candidate passes the KKT checks: " + "; ".join(failures))
 
 
+def _dual_points(theta, weights, M, r, model):
+    """``_dual_point`` on a stack, theta (K, m), weights (K, S), M (K, m, S),
+    r (K, m): (w, v, free, grad, dual value, ok), free the unclamped states
+    and ok false on each row where ``_dual_point`` returns None.  Under the
+    caller's ``np.errstate`` too; clamped entries are replaced by ``np.where``."""
+    (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
+    marg = weights / (theta[:, None, :] @ M)[:, 0]
+    ok = (marg > 0.0) & (marg < np.inf)
+    if ok.all():
+        w = model._u_prime_inv(marg)
+        low = w <= w_lo
+    else:
+        w = np.where(ok, model._u_prime_inv(np.where(ok, marg, 1.0)), w_lo)
+        low = ~ok | (w <= w_lo)
+    high = w >= w_hi
+    free = ~(low | high)
+    if free.all():
+        v = model._u(w)
+        ok = ((v > v_lo) & (v < v_hi)).all(-1)
+    else:
+        w = np.where(low, w_lo, np.where(high, w_hi, w))
+        v = np.where(low, v_lo, np.where(high, v_hi, model._u(w)))
+        ok = ~((low.any(-1) & (v_lo == -np.inf)) | (high.any(-1) & (v_hi == np.inf)))
+        ok &= (~free | ((v > v_lo) & (v < v_hi))).all(-1)
+    grad = r - np.vecdot(M, v[:, None, :])
+    return w, v, free, grad, np.vecdot(weights, w) + np.vecdot(theta, grad), ok
+
+
+def _farkas(d, M, r, v_lo, v_hi):
+    """``solve_dual``'s Farkas test on each row of a stack of d (K, m): true
+    where d >= 0 certifies M v >= r empty on the utility range."""
+    dr = np.vecdot(d, r)
+    ok = ~(d < 0.0).any(-1) & ~((v_lo <= 0.0 <= v_hi) & (dr <= 0.0))
+    if not ok.any():
+        return ok
+    c = (d[:, None, :] @ M)[:, 0]
+    c = np.where(np.abs(c) <= 1e-12 * (np.abs(d)[:, None, :] @ np.abs(M))[:, 0], 0.0, c)
+    if v_hi == np.inf:
+        ok &= ~(c > 0.0).any(-1)
+    if v_lo == -np.inf:
+        ok &= ~(c < 0.0).any(-1)
+    bound = np.nansum(np.fmax(c * v_lo, c * v_hi), -1)     # 0 * inf is NaN, read as 0
+    return ok & (dr - bound > 1e-12 * (np.vecdot(np.abs(d), np.abs(r)) + np.abs(bound)))
+
+
+def solve_dual_stack(weights, M, r, model):
+    """``solve_dual`` on K programs of inequality rows at once: weights (K, S),
+    M (K, m, S), r (K, m), participation and m - 1 >= 1 incentive rows.
+
+    Each program runs ``solve_dual``'s projected Newton ascent with its own
+    theta, binding set, tau, line search and stop rule, every reduction along
+    its own axis; the risk sharing is ``kernel.sharing_stack``, bit for bit
+    ``solve_ir_only``.  The stack keeps only the converging path: a program
+    that trips the divergence or Farkas test, fails its line search, reaches
+    20 steps or converges to a point that fails ``_require_interior`` or
+    ``_kkt_checks`` is handed back, solved alone by ``solve_dual``, so the
+    polish and every refusal message live there; a singular Newton system
+    (rare) hands back every live program.  The acceptance is ``_kkt_tests``
+    on ``_kkt_checks``' numbers, taken per program along its own axis.  One
+    program costs more here than in ``solve_dual``, so a lone live program
+    is handed back from the start; many share the numpy calls.
+
+    Returns one entry per program: ``solve_dual``'s tuple, or the
+    BeliefContractsError it raises.  A returned point is rounded as the
+    stacked products round, so within 1e-12 of ``solve_dual``'s where both
+    converge; where ``solve_dual`` stalls and returns its polish, the stack
+    may converge to a point that passes the same checks instead.
+    """
+    weights, M, r = (np.asarray(x, dtype=float) for x in (weights, M, r))
+    K, m, S = M.shape
+    family = replace(model, domain=None) if model.domain is not None else model
+    v_lo, v_hi = family.utility_range
+    v, w, lam, ok = sharing_stack(weights, M[:, 0], model, r[:, 0])
+    theta = np.zeros((K, m))
+    theta[:, 0] = lam
+    # the risk-sharing contract is the candidate when nothing else fails by over tol
+    with np.errstate(invalid="ignore"):     # a refused row's utilities may be inf
+        slack = np.vecdot(M[:, 1:], v[:, None, :]) - r[:, 1:]
+    done = ok & (slack >= -_FEASIBILITY_TOL).all(-1)
+    back, live = ~ok, ok & ~done
+    if np.count_nonzero(live) == 1:     # alone, solve_dual is the faster path
+        back, live = back | live, ~live
+    final = [theta, w, v]       # each program's point as it leaves the live set
+    free = np.ones((K, S), bool)
+    small_pg = 1e-12 * np.maximum(1.0, np.abs(r).max(-1))
+    MT, diagonal = M.transpose(0, 2, 1), np.arange(m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        grad = r - np.vecdot(M, v[:, None, :])
+        value = np.vecdot(weights, w) + np.vecdot(theta, grad)
+        for step in range(_MAX_DUAL + 1 if np.count_nonzero(live) else 0):
+            pg = np.where((theta <= 0.0) & (grad <= 0.0), 0.0, grad)
+            abs_pg = np.abs(pg)
+            pg_norm = abs_pg.max(-1)
+            small = pg_norm <= small_pg
+            converged = live & small & (np.vecdot(np.abs(theta), abs_pg) <= _FEASIBILITY_TOL)
+            leave = np.abs(theta).max(-1) > 1e12 if step < _MAX_DUAL else live.copy()
+            if v_hi < np.inf:       # else c > 0 makes its bound +inf
+                leave |= _farkas(theta, M, r, v_lo, v_hi)
+            leave &= live & ~converged
+            if np.count_nonzero(converged):
+                done |= converged
+                final = [np.where(converged[:, None], x, y) for x, y in zip((theta, w, v), final)]
+            back |= leave
+            live &= ~(converged | leave)
+            if not np.count_nonzero(live):
+                break
+            scaled = M / (weights * family._h_second(v))[:, None, :]
+            if not free.all():
+                scaled = np.where(free[:, None, :], scaled, 0.0)
+            J = scaled @ MT
+            J_diag = J[:, diagonal, diagonal]
+            tau = 1e-10 * np.minimum(1.0, pg_norm)
+            # off the live set every row binds: H = I there, never singular
+            binding = ((theta <= np.minimum(1e-3, pg_norm)[:, None]) & (grad <= 0.0)
+                       | ~live[:, None])
+            try:
+                while True:     # a row at 0 that the step would push below joins the binding set
+                    rows = ~binding
+                    H = np.where(rows[:, :, None] & rows[:, None, :], J, 0.0)
+                    H[:, diagonal, diagonal] = np.where(
+                        rows, J_diag + (tau * np.where(rows, J_diag, 0.0).max(-1))[:, None], 1.0)
+                    d = np.linalg.solve(H, np.where(rows, grad, 0.0)[..., None])[..., 0]
+                    d = np.where(binding, -theta, d)       # a continuous path to 0
+                    out = rows & (theta <= 0.0) & (d < 0.0)
+                    if not np.count_nonzero(out):
+                        break
+                    binding |= out
+            except np.linalg.LinAlgError:       # a live program's system is singular
+                back |= live
+                break
+            if v_hi == np.inf:      # the ray theta may never show
+                leave = live & _farkas(d, M, r, v_lo, v_hi)
+                back |= leave
+                live &= ~leave
+            searching, moved, alpha = live.copy(), np.zeros(K, bool), 1.0
+            for t in range(60):     # each live program halves its own alpha until it moves
+                trial = np.maximum(theta + alpha * d, 0.0)
+                *point, ok = _dual_points(trial, weights, M, r, family)
+                gain = point[4] - value
+                accept = searching & ok & (gain >= 1e-4 * np.vecdot(grad, trial - theta))
+                flat = searching & ok & ~accept
+                if np.count_nonzero(flat):  # at the dual value's rounding level: a smaller |pg|
+                    rounding = -1e-14 * (np.vecdot(weights, np.abs(w)) + np.vecdot(
+                        np.abs(theta), np.abs(r) + np.vecdot(np.abs(M), np.abs(v)[:, None, :])))
+                    shrinks = np.abs(np.where((trial <= 0.0) & (point[3] <= 0.0), 0.0,
+                                              point[3])).max(-1) < pg_norm
+                    accept |= flat & (gain >= rounding) & shrinks
+                if (accept == live).all():
+                    theta, (w, v, free, grad, value) = trial, point
+                elif np.count_nonzero(accept):
+                    theta, w, v, free, grad, value = (
+                        np.where(accept.reshape(-1, *[1] * (x.ndim - 1)), x, y)
+                        for x, y in zip((trial, *point), (theta, w, v, free, grad, value)))
+                moved |= accept
+                # below the stop's |pg| a program tries the full step only
+                searching &= ~accept & ~small if t == 0 else ~accept
+                if not np.count_nonzero(searching):
+                    break
+                alpha *= 0.5
+            back |= live & ~moved       # the line search failed
+            live &= moved
+    out = [None] * K
+    idx = np.flatnonzero(done)
+    theta, w, v = (x[idx] for x in final)
+    resid = np.vecdot(M[idx], v[:, None, :]) - r[idx]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # not interior: back
+        c = (theta[:, None, :] @ M[idx])[:, 0]
+        foc = (weights[idx] - c * model._u_prime(w)) / weights[idx]
+        # _kkt_checks' numbers per program; a NaN fails its test, so its program is handed back
+        numbers = (np.abs(foc).max(-1), np.abs(resid[:, 0]), resid[:, 1:].min(-1),
+                   theta[:, 1:].min(-1), np.abs(theta[:, 1:] * resid[:, 1:]).max(-1))
+    passed = _interior(w, model)
+    for _, ok in _kkt_tests(numbers, _FEASIBILITY_TOL, 1e-8):
+        passed &= ok
+    back[idx[~passed]] = True
+    active = theta > 0.0
+    active[:, 0] = True
+    for j in np.flatnonzero(passed):
+        out[idx[j]] = (v[j], w[j], theta[j], active[j], foc[j].tolist(), resid[j].tolist())
+    for k in np.flatnonzero(back):
+        try:
+            out[k] = solve_dual(weights[k], M[k], r[k], 0, model)
+        except BeliefContractsError as exc:
+            out[k] = exc
+    return out
+
+
+def _checked_action(inst: ProblemInstance, target: str):
+    """``solve_second_best``'s input checks; the target's action."""
+    inst.require_positive_beliefs()
+    if len(inst.actions) < 2:
+        raise ValidationError("second-best needs at least 2 actions")
+    return inst.action(target)
+
+
+def _solution(target: str, delta, dual) -> SecondBestSolution:
+    """The contract of ``solve_dual``'s answer, after its lam > 0 test."""
+    v, w, theta, active, foc, resid = dual
+    lam = float(theta[0])
+    if lam <= 0.0:
+        raise KKTDegeneracy(f"participation multiplier came out non-positive ({lam})")
+    return SecondBestSolution(
+        target=target,
+        wages=tuple(w.tolist()),
+        utility_levels=tuple(v.tolist()),
+        lam=lam,
+        mu=tuple(theta[1:].tolist()),
+        ic_slacks=tuple(resid[1:]),
+        ir_residual=resid[0],
+        expected_cost_principal=float(delta @ w),
+        coincides_with_first_best=not active[1:].any(),
+        foc_residuals=tuple(foc),
+    )
+
+
+def _solve_each(instances, target: str) -> list:
+    """``solve_second_best(inst, target)`` on each of a driver's instances,
+    which differ only in beliefs, as one program stack: per instance, in
+    order, its solution or the BeliefContractsError refusing it.  Each
+    instance passes ``solve_second_best``'s input checks first, and the
+    programs of those that pass are its rows, stacked.  A lone program takes
+    ``solve_second_best``, two or more ``solve_dual_stack``."""
+    out, valid = [], []
+    for inst in instances:
+        try:
+            _checked_action(inst, target)
+        except BeliefContractsError as exc:
+            out.append(exc)
+            continue
+        valid.append((len(out), inst))
+        out.append(None)
+    if len(valid) == 1:
+        i, inst = valid[0]
+        try:
+            out[i] = solve_second_best(inst, target)
+        except BeliefContractsError as exc:
+            out[i] = exc
+    elif valid:
+        first = valid[0][1]
+        j = [a.name for a in first.actions].index(target)
+        act = first.actions[j]
+        Q = np.array([[a.agent_beliefs.probs for a in inst.actions] for _, inst in valid])
+        M = np.concatenate([Q[:, j:j + 1], Q[:, j:j + 1] - np.delete(Q, j, axis=1)], axis=1)
+        delta = np.array([inst.actions[j].principal_beliefs.probs for _, inst in valid])
+        r = [first.reservation_utility + act.cost] + [act.cost - o.cost
+                                                      for o in first.other_actions(target)]
+        duals = solve_dual_stack(delta, M, np.tile(r, (len(valid), 1)), first.utility)
+        for (i, _), weights, dual in zip(valid, delta, duals):
+            try:
+                out[i] = dual if isinstance(dual, BeliefContractsError) else _solution(
+                    target, weights, dual)
+            except KKTDegeneracy as exc:
+                out[i] = exc
+    return out
+
+
 def solve_second_best(inst: ProblemInstance, target: str) -> SecondBestSolution:
     """Solve the hidden-action cost-minimization program for ``target``.
 
@@ -317,33 +587,11 @@ def solve_second_best(inst: ProblemInstance, target: str) -> SecondBestSolution:
     Raises:
         Infeasible, Unbounded, KKTDegeneracy: see errors and ``solve_dual``.
     """
-    inst.require_positive_beliefs()
-    if len(inst.actions) < 2:
-        raise ValidationError("second-best needs at least 2 actions")
-    act = inst.action(target)
-    model = inst.utility
+    act = _checked_action(inst, target)
     delta = act.principal_beliefs.as_array()
-    level = inst.reservation_utility + act.cost
     q, ic_rows, ic_rhs = _ic_rows(inst, target)
-    M = np.vstack([q] + ic_rows)
-    v, w, theta, active, foc, resid = solve_dual(delta, M, np.array([level] + ic_rhs), 0,
-                                                 model)
-    lam = float(theta[0])
-    if lam <= 0.0:
-        raise KKTDegeneracy(f"participation multiplier came out non-positive ({lam})")
-
-    return SecondBestSolution(
-        target=target,
-        wages=tuple(float(x) for x in w),
-        utility_levels=tuple(float(x) for x in v),
-        lam=lam,
-        mu=tuple(float(x) for x in theta[1:]),
-        ic_slacks=tuple(resid[1:]),
-        ir_residual=resid[0],
-        expected_cost_principal=float(delta @ w),
-        coincides_with_first_best=not active[1:].any(),
-        foc_residuals=tuple(foc),
-    )
+    M, r = np.vstack([q] + ic_rows), np.array([inst.reservation_utility + act.cost] + ic_rhs)
+    return _solution(target, delta, solve_dual(delta, M, r, 0, inst.utility))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ are bit-reproducible.
 Every public method accepts a float or an ndarray and checks the open wage
 domain / utility range, raising :class:`DomainError` outside it.  The closed
 forms behind them (``_u``, ``_u_prime``, ``_h``, ``_h_prime``, ``_h_second``,
-``_u_prime_inv``) check nothing: the solvers call them only on points that
-their own named interval tests have just admitted (``kernel.solve_ir_only``'s
-marginal-utility and wage masks, ``minimize_on_affine``'s ``in_range``,
-``second_best._dual_point``'s masks and ``solve_dual``'s candidate wage test).
+``_u_prime_inv``) check nothing: the solvers use their values only where
+their own named interval tests admit the points (``kernel.sharing_stack``'s
+marginal-utility, wage and utility masks, ``minimize_on_affine``'s ``in_range``,
+``second_best._dual_point``'s and ``_dual_points``' masks and the candidate
+wage tests of ``solve_dual`` and ``solve_dual_stack``).  A masked
+computation evaluates every entry under ``np.errstate`` and discards, by
+its mask, each value the test refuses.
 A family's ``domain`` may tighten its default wage domain (a None end keeps
 the default's); the solvers search on the family's own domain and check each
 answer against the tightened one.
@@ -69,7 +72,10 @@ class UtilityModel:
     def _sharing_multiplier(self, ratio, probs, rhs):
         """The lam with sum_s probs_s u((u')^-1(ratio_s / lam)) = rhs, in closed
         form (the HARA risk-sharing rules, Wilson, *Econometrica* 36, 1968);
-        numpy scalars, so past double precision it is inf or 0, not an error."""
+        numpy values, so past double precision it is inf or 0, not an error.
+        On a stack (ratio and probs (K, S), rhs scalar or (K,)) it is one lam
+        per row, by ``np.vecdot`` and ``.sum(-1)``, which give each row the
+        bits of the 1-D call."""
         raise NotImplementedError
 
     # -- public surface with domain checks ------------------------------------
@@ -176,7 +182,8 @@ class CaraUtility(UtilityModel):
     def _h_prime(self, v): return -1.0 / (self.r * v)
     def _h_second(self, v): return 1.0 / (self.r * v * v)
     def _u_prime_inv(self, m): return -np.log(m / self.r) / self.r
-    def _sharing_multiplier(self, ratio, probs, rhs): return -(probs @ ratio) / (self.r * rhs)
+    def _sharing_multiplier(self, ratio, probs, rhs):
+        return -np.vecdot(probs, ratio) / (self.r * rhs)
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,7 @@ class LogUtility(UtilityModel):
     def _u_prime_inv(self, m): return 1.0 / m
 
     def _sharing_multiplier(self, ratio, probs, rhs):
-        return np.exp((rhs + probs @ np.log(ratio)) / probs.sum())
+        return np.exp((rhs + np.vecdot(probs, np.log(ratio))) / probs.sum(-1))
 
 
 @dataclass(frozen=True)
@@ -257,7 +264,11 @@ class CrraUtility(UtilityModel):
 
     def _sharing_multiplier(self, ratio, probs, rhs):
         g = self.gamma
-        return ((1 - g) * rhs / (probs @ ratio ** ((g - 1) / g))) ** (g / (1 - g))
+        base = (1 - g) * rhs / np.vecdot(probs, ratio ** ((g - 1) / g))
+        if np.ndim(base) == 0:
+            return base ** (g / (1 - g))
+        # numpy's scalar power rounds apart from its array power: each row takes the scalar's
+        return np.array([b ** (g / (1 - g)) for b in base])
 
 
 @dataclass(frozen=True)
@@ -287,7 +298,7 @@ class SqrtUtility(UtilityModel):
     def _h_prime(self, v): return 2.0 * v
     def _h_second(self, v): return 2.0 * np.ones_like(np.asarray(v, dtype=float)) if np.ndim(v) else 2.0
     def _u_prime_inv(self, m): return 0.25 / (m * m)
-    def _sharing_multiplier(self, ratio, probs, rhs): return 2.0 * rhs / (probs / ratio).sum()
+    def _sharing_multiplier(self, ratio, probs, rhs): return 2.0 * rhs / (probs / ratio).sum(-1)
 
 
 _FAMILIES = {"cara": CaraUtility, "log": LogUtility, "crra": CrraUtility, "sqrt": SqrtUtility}

@@ -24,15 +24,20 @@ op records one direct
 verdict of solve_mix, every returned contract records its wages and
 ``kkt_certificate``'s stationarity_max, a detect_regime_change op that
 returned an eps records it, an equivalence_report op that returned
-records its m* and iterative cost, and a sweep or cara_compstat op that
-returned records its wage paths (a sweep also its failed rows).  The
-report prints every verdict transition, every change in a refusal's message
-and every change in a sweep's failed rows, with stationarity_max before and
+records its m* and iterative cost, a sweep or cara_compstat op that
+returned records its wage paths (a sweep also its failed rows, lambda, mu
+and coincides paths), and a choose_action op that returned records its
+chosen action and each entry's expected cost.  The report prints every
+verdict transition, every change in a refusal's message and every change
+in a sweep's failed rows or coincides path or a choose_action's chosen
+action, with stationarity_max before and
 after when both sides returned a contract, the count of message changes and
 the certified count of each side, the largest relative wage move
 max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify (and,
 over a whole wage path, among the sweep and the cara_compstat ops both sides
-answer, on the rows both sides solved), and the largest |eps*' - eps*|,
+answer, on the rows both sides solved), the largest relative lambda, mu
+and choose_action entry-cost move |x' - x| / |x| among the entries both
+sides give (a 0 on both sides moves by 0), and the largest |eps*' - eps*|,
 |m*' - m*| / |m*| and |cost' - cost| / |cost| among the answers both sides
 give.  Not collected by pytest (no ``test_`` prefix).
 """
@@ -118,7 +123,13 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
             out[str(i)]["cara_wages"] = [list(row) for row in outcome.wages]
         if isinstance(outcome, bc.SweepResult):
             out[str(i)].update(sweep_wages=[list(row) for row in outcome.wage_paths],
-                               failed_rows=list(outcome.failed_rows))
+                               failed_rows=list(outcome.failed_rows),
+                               lambda_path=list(outcome.lambda_path),
+                               mu_path=list(outcome.mu_path),
+                               coincides_path=list(outcome.coincides_path))
+        if isinstance(outcome, bc.ActionChoiceReport):
+            out[str(i)].update(chosen=outcome.chosen,
+                               entry_costs=[e.expected_cost for e in outcome.entries])
         if case["kind"].startswith("choose_action"):
             inst = case["inst"]
             for act in inst.actions:
@@ -160,8 +171,10 @@ def compare(label: str, old: dict, new: dict) -> None:
         if a.get("message") != b.get("message"):
             messages += 1
             print(f"  {key}: message {a.get('message')!r} -> {b.get('message')!r}")
-        if "failed_rows" in a and "failed_rows" in b and a["failed_rows"] != b["failed_rows"]:
-            print(f"  {key}: failed rows {a['failed_rows']} -> {b['failed_rows']}")
+        for field, what in (("failed_rows", "failed rows"), ("coincides_path", "coincides path"),
+                            ("chosen", "chosen action")):
+            if field in a and field in b and a[field] != b[field]:
+                print(f"  {key}: {what} {a[field]} -> {b[field]}")
     print(f"  refusal message changes: {messages}")
     for side, recs in (("old", old), ("new", new)):
         counts = Counter(r["verdict"] for r in recs.values())
@@ -184,6 +197,19 @@ def compare(label: str, old: dict, new: dict) -> None:
         if paths:
             print(f"  largest relative {kind} wage-path move among {len(paths)} answers both "
                   f"sides give: {_largest(paths)}")
+    for field, what in (("lambda_path", "lambda"), ("mu_path", "mu"),
+                        ("entry_costs", "choose_action cost")):
+        paths = []
+        for key in old:
+            if field in old[key] and field in new[key]:
+                p0, p1 = (np.asarray(side[key][field], dtype=float) for side in (old, new))
+                both = np.isfinite(p0) & np.isfinite(p1)
+                if both.any():
+                    paths.append((float(np.max(np.abs(p1[both] - p0[both])
+                                               / np.maximum(np.abs(p0[both]), 1e-300))), key))
+        if paths:
+            print(f"  largest relative {what} move among {len(paths)} answers both sides "
+                  f"give: {_largest(paths)}")
     for field, what, relative in (("eps_star", "eps*", False), ("m_star", "relative m*", True),
                                   ("cost", "relative cost", True)):
         moves = [(abs(new[key][field] - old[key][field])

@@ -395,3 +395,68 @@ def golden_main(path, outcomes, argv) -> int:
           f"largest relative move {worst:.3g}; "
           f"{sum(rel == np.inf for *_, rel in moved)} non-numeric changes")
     return 1 if worst > GOLDEN_DRIFT_TOL else 0
+
+
+def sweep_reference(inst, action, party, which_action, s, s_prime, eps_grid, solver):
+    """``sweep`` as it was before it solved its grid as one program stack:
+    one cold ``solve_first_best`` or ``solve_second_best`` per eps, kept
+    verbatim as the per-row reference the stacked sweep must match."""
+    from beliefcontracts.compstat import _variance
+    from beliefcontracts.first_best import VERDICT_TOL
+
+    eps_values = [float(e) for e in eps_grid]
+    S = inst.n_states
+    if not (0 <= s < S and 0 <= s_prime < S):
+        raise bc.ValidationError("state indices out of range")
+    if not isinstance(solver, bc.SolverKind):
+        raise bc.ValidationError(f"unknown solver {solver!r}")
+
+    rows, lams, mus, power_a, power_p, coincides, failed = [], [], [], [], [], [], []
+    for i, eps in enumerate(eps_values):
+        tilted = inst.tilted(party, which_action, s, s_prime, eps)
+        try:
+            if solver is bc.SolverKind.FIRST_BEST:
+                sol = bc.solve_first_best(tilted, action)
+                lam, mu, coin = sol.lam, 0.0, True
+            else:
+                sol = bc.solve_second_best(tilted, action)
+                lam = sol.lam
+                mu = sol.mu[0] if len(sol.mu) == 1 else float(sum(sol.mu))
+                coin = sol.coincides_with_first_best
+        except bc.BeliefContractsError:
+            rows.append((float("nan"),) * S)
+            lams.append(float("nan"))
+            mus.append(float("nan"))
+            power_a.append(float("nan"))
+            power_p.append(float("nan"))
+            coincides.append(False)
+            failed.append(i)
+            continue
+        w = np.asarray(sol.wages, dtype=float)
+        t_act = tilted.action(action)
+        rows.append(tuple(float(x) for x in w))
+        lams.append(float(lam))
+        mus.append(float(mu))
+        power_a.append(_variance(w, t_act.agent_beliefs.as_array()))
+        power_p.append(_variance(w, t_act.principal_beliefs.as_array()))
+        coincides.append(bool(coin))
+
+    ok = [i for i in range(len(eps_values)) if i not in failed]
+    verdicts = [bc.classify_monotonicity([rows[i][state] for i in ok], tol=VERDICT_TOL)
+                for state in range(S)]
+
+    regime = [eps_values[j] for i, j in zip(ok, ok[1:])
+              if coincides[i] != coincides[j]]
+
+    return bc.SweepResult(
+        eps_values=tuple(eps_values),
+        wage_paths=tuple(rows),
+        lambda_path=tuple(lams),
+        mu_path=tuple(mus),
+        power_path=tuple(power_a),
+        power_path_principal=tuple(power_p),
+        verdicts=tuple(verdicts),
+        regime_changes=tuple(regime),
+        coincides_path=tuple(coincides),
+        failed_rows=tuple(failed),
+    )

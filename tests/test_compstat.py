@@ -7,7 +7,7 @@ import pytest
 
 import beliefcontracts as bc
 from beliefcontracts import Monotonicity, Party, SolverKind, compstat
-from support import FAMILY_NAMES, two_action_instance
+from support import FAMILY_NAMES, sweep_reference, two_action_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,6 +88,66 @@ class TestSweep:
         res = bc.sweep(cara_three_state(), "H", Party.AGENT, "L", 0, 2,
                        np.linspace(0.0, 0.05, 5), SolverKind.SECOND_BEST)
         assert res.failed_rows == ()
+
+
+def assert_sweeps_equal(got, ref, rel_tol):
+    """Field by field: the discrete fields exactly, the float paths within
+    rel_tol of each path's largest entry (NaN on the same rows)."""
+    for field in ("eps_values", "verdicts", "regime_changes", "coincides_path", "failed_rows"):
+        assert getattr(got, field) == getattr(ref, field), field
+    for field in ("wage_paths", "lambda_path", "mu_path", "power_path",
+                  "power_path_principal"):
+        a, b = (np.asarray(getattr(x, field), dtype=float) for x in (got, ref))
+        assert a.shape == b.shape and (np.isnan(a) == np.isnan(b)).all(), field
+        solved = ~np.isnan(b)
+        if solved.any():
+            scale = max(1.0, float(np.abs(b[solved]).max()))
+            assert np.abs(a - b)[solved].max() <= rel_tol * scale, field
+
+
+class TestStackedSweep:
+    """The stacked sweep against its per-eps reference (``support.sweep_reference``):
+    first-best bit for bit, second-best within 1e-12."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_matches_the_per_row_reference(self, name):
+        rng = np.random.default_rng(404 + FAMILY_NAMES.index(name))
+        for S in (3, 4):
+            inst = two_action_instance(rng, S, name=name, chain=S == 3)
+            for party in Party:
+                for which in ("H", "L"):
+                    base = (inst.action(which).principal_beliefs if party is Party.PRINCIPAL
+                            else inst.action(which).agent_beliefs).probs
+                    s, s_prime = (0, S - 1) if rng.random() < 0.5 else (S - 1, 1)
+                    room = min(base[s], base[s_prime])
+                    grid = np.linspace(-0.4 * room, 0.8 * room, 9)
+                    for solver, tol in ((SolverKind.FIRST_BEST, 0.0),
+                                        (SolverKind.SECOND_BEST, 1e-12)):
+                        args = (inst, "H", party, which, s, s_prime, grid, solver)
+                        assert_sweeps_equal(bc.sweep(*args), sweep_reference(*args), tol)
+
+    @pytest.mark.parametrize("solver", list(SolverKind))
+    def test_a_row_below_the_solver_floor_fails_as_in_the_reference(self, solver):
+        # eps leaves 5e-10 on s': inside the open simplex, below SOLVER_MIN_PROB
+        inst = cara_three_state()
+        p = inst.action("H").principal_beliefs.probs
+        grid = [0.0, 0.05, p[2] - 5e-10, 0.1]
+        args = (inst, "H", Party.PRINCIPAL, "H", 1, 2, grid, solver)
+        got = bc.sweep(*args)
+        assert got.failed_rows == (2,)
+        assert_sweeps_equal(got, sweep_reference(*args), 0.0 if solver is SolverKind.FIRST_BEST
+                            else 1e-12)
+
+    @pytest.mark.parametrize("solver", list(SolverKind))
+    def test_eps_off_the_simplex_mid_grid_raises_as_in_the_reference(self, solver):
+        inst = cara_three_state()
+        p = inst.action("H").agent_beliefs.probs
+        args = (inst, "H", Party.AGENT, "H", 1, 2, [0.0, 0.05, p[2] + 0.01, 0.1], solver)
+        with pytest.raises(bc.EpsilonTooLarge) as ref:
+            sweep_reference(*args)
+        with pytest.raises(bc.EpsilonTooLarge) as got:
+            bc.sweep(*args)
+        assert str(got.value) == str(ref.value)
 
 
 class TestRegimeDetection:

@@ -185,6 +185,14 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["mu_path"] == [0.0, 0.0, 0.0]
 
+    def test_only_the_second_best_solution_reports_the_tolerance(self):
+        # first-best applies no feasibility tolerance, so its artifact names none
+        argv = ("--problem", str(DATA / "log_binding.json"))
+        first = json.loads(self.run("solve-first-best", *argv)[1])
+        second = json.loads(self.run("solve-second-best", *argv)[1])
+        assert "tolerance" not in first
+        assert second["tolerance"] == 1e-9
+
     def test_compstat_csv(self):
         code, out = self.run("compstat", "--problem", str(DATA / "cara_three_state.json"),
                              "--states", "1,2", "--eps-grid", "0:0.08:5")
