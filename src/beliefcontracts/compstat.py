@@ -3,9 +3,13 @@
 Re-solves the contract along a grid of two-coordinate belief tilts (either
 party, either action), recording wage paths, multipliers, the wage-variance
 "power" of incentives, per-state direction verdicts, and the spots where the
-incentive constraint stops binding.  ``detect_regime_change`` locates one such
-spot as the root of the risk-sharing contract's incentive slack, by Newton
-steps on its exact slope in eps (``kernel.sensitivity``).
+incentive constraint stops binding.  ``sweep`` tilts one belief vector per
+eps into stacked copies of the belief arrays and solves every row's program
+at once; it builds no tilted ``ProblemInstance``.  ``detect_regime_change``
+locates one such spot as the root of the risk-sharing contract's incentive
+slack, by Newton steps on its exact slope in eps (``kernel.sensitivity``),
+whose data move is the program of the tilt's unit move: the program
+(``second_best._program``) is linear in the beliefs.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import Monotonicity, Party, ProblemInstance, SolverKind
-from .errors import BeliefContractsError, ValidationError
-from .first_best import VERDICT_TOL, classify_monotonicity, solve_first_best
+from .beliefs import SOLVER_MIN_PROB, Monotonicity, Party, ProblemInstance, SolverKind
+from .errors import BeliefContractsError, KKTDegeneracy, ValidationError
+from .first_best import VERDICT_TOL, classify_monotonicity
 from .kernel import _interior, rtsafe, sensitivity, sharing_stack
-from .second_best import _FEASIBILITY_TOL, _solve_each, risk_sharing, solve_second_best
+from .second_best import (_FEASIBILITY_TOL, _beliefs, _program, _require_incentive_rows,
+                          _risk_sharing, _solution, solve_dual_stack, solve_second_best)
 
 
 @dataclass(frozen=True)
@@ -54,45 +59,66 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
     """Re-solve the contract for ``action`` at every eps in the grid.
 
     Each eps moves that much probability from state s_prime onto state s in
-    the beliefs of ``party`` about ``which_action``; a second-best row
-    counts an incentive constraint as satisfied at slack >= -1e-9, the
-    solver's own tolerance.  Per-row solver failures are recorded, not fatal.
+    the beliefs of ``party`` about ``which_action`` (``Distribution.tilted``,
+    whose ``EpsilonTooLarge`` propagates from the first eps it refuses, before
+    any solve); a second-best row counts an incentive constraint as
+    satisfied at slack >= -1e-9, the solver's own tolerance.  An unknown
+    action, or a second best of a one-action problem, raises
+    ``ValidationError`` before any solve.  The tilted vectors are written
+    into stacked copies of the belief arrays, whose rows share one
+    ``second_best._program`` call and one solve: ``kernel.sharing_stack``
+    (first best) or ``second_best.solve_dual_stack`` (second best).  A row
+    with a belief below ``SOLVER_MIN_PROB``, or refused by its solve, is
+    recorded as failed, not fatal.
     """
     eps_values = [float(e) for e in eps_grid]
-    S = inst.n_states
+    K, S = len(eps_values), inst.n_states
     if not (0 <= s < S and 0 <= s_prime < S):
         raise ValidationError("state indices out of range")
     if not isinstance(solver, SolverKind):
         raise ValidationError(f"unknown solver {solver!r}")
+    if solver is SolverKind.SECOND_BEST:
+        _require_incentive_rows(inst)
+    j, k = (inst.actions.index(inst.action(name)) for name in (action, which_action))
+    act = inst.actions[k]
+    beliefs = act.principal_beliefs if party is Party.PRINCIPAL else act.agent_beliefs
+    P, Q = (np.repeat(x[None], K, axis=0) for x in _beliefs(inst))
+    tilted = P if party is Party.PRINCIPAL else Q
+    for i, eps in enumerate(eps_values):
+        tilted[i, k] = beliefs.tilted(s, s_prime, eps).probs
 
-    tilted = [inst.tilted(party, which_action, s, s_prime, eps) for eps in eps_values]
-    rows, lams, mus, power_a, power_p, coincides, failed = [], [], [], [], [], [], []
-    solve = _first_best_each if solver is SolverKind.FIRST_BEST else _second_best_each
-    for i, (t, sol) in enumerate(zip(tilted, solve(tilted, action))):
-        if isinstance(sol, BeliefContractsError):
-            rows.append((float("nan"),) * S)
-            lams.append(float("nan"))
-            mus.append(float("nan"))
-            power_a.append(float("nan"))
-            power_p.append(float("nan"))
-            coincides.append(False)
-            failed.append(i)
-            continue
-        w, lam, mu, coin = sol
-        t_act = t.action(action)
-        rows.append(tuple(float(x) for x in w))
-        lams.append(float(lam))
-        mus.append(float(mu))
-        power_a.append(_variance(w, t_act.agent_beliefs.as_array()))
-        power_p.append(_variance(w, t_act.principal_beliefs.as_array()))
-        coincides.append(bool(coin))
+    answers = {}        # row -> (wages, lam, mu, coincides)
+    valid = np.flatnonzero((P.min((1, 2)) >= SOLVER_MIN_PROB) & (Q.min((1, 2)) >= SOLVER_MIN_PROB))
+    if valid.size:
+        weights, M, r = _program(inst, action, P[valid], Q[valid])
+        model = inst.utility
+        if solver is SolverKind.FIRST_BEST:
+            _, w, lam, ok = sharing_stack(weights, M[:, 0], model, r[0])
+            for n in np.flatnonzero(ok & _interior(w, model)):
+                answers[int(valid[n])] = (w[n], lam[n], 0.0, True)
+        else:
+            for i, delta, dual in zip(valid.tolist(), weights,
+                                      solve_dual_stack(weights, M, r, model)):
+                if isinstance(dual, BeliefContractsError):
+                    continue
+                try:
+                    sol = _solution(action, delta, dual)
+                except KKTDegeneracy:       # its lam > 0 test
+                    continue
+                mu = sol.mu[0] if len(sol.mu) == 1 else float(sum(sol.mu))
+                answers[i] = (dual[1], sol.lam, mu, sol.coincides_with_first_best)
 
-    ok = [i for i in range(len(eps_values)) if i not in failed]
-    verdicts = [classify_monotonicity([rows[i][state] for i in ok], tol=VERDICT_TOL)
+    nan = float("nan")
+    rows, coincides = [(nan,) * S] * K, [False] * K
+    lams, mus, power_a, power_p = ([nan] * K for _ in range(4))
+    for i, (w, lam, mu, coin) in answers.items():
+        rows[i] = tuple(float(x) for x in w)
+        lams[i], mus[i], coincides[i] = float(lam), float(mu), bool(coin)
+        power_a[i], power_p[i] = _variance(w, Q[i, j]), _variance(w, P[i, j])
+    solved = sorted(answers)
+    verdicts = [classify_monotonicity([rows[i][state] for i in solved], tol=VERDICT_TOL)
                 for state in range(S)]
-
-    regime = [eps_values[j] for i, j in zip(ok, ok[1:])
-              if coincides[i] != coincides[j]]
+    regime = [eps_values[b] for a, b in zip(solved, solved[1:]) if coincides[a] != coincides[b]]
 
     return SweepResult(
         eps_values=tuple(eps_values),
@@ -104,56 +130,8 @@ def sweep(inst: ProblemInstance, action: str, party: Party, which_action: str,
         verdicts=tuple(verdicts),
         regime_changes=tuple(regime),
         coincides_path=tuple(coincides),
-        failed_rows=tuple(failed),
+        failed_rows=tuple(i for i in range(K) if i not in answers),
     )
-
-
-def _second_best_each(tilted, action: str) -> list:
-    """(wages, lam, mu, coincides) of ``solve_second_best`` on each tilted
-    instance, or its refusal: one program stack (``second_best._solve_each``);
-    mu is the lone incentive multiplier, or the sum of several."""
-    out = []
-    for sol in _solve_each(tilted, action):
-        if not isinstance(sol, BeliefContractsError):
-            mu = sol.mu[0] if len(sol.mu) == 1 else float(sum(sol.mu))
-            sol = (np.asarray(sol.wages), sol.lam, mu, sol.coincides_with_first_best)
-        out.append(sol)
-    return out
-
-
-def _first_best_each(tilted, action: str) -> list:
-    """(wages, lam, 0, True) of ``solve_first_best`` on each tilted instance,
-    or its refusal.  The rows whose beliefs pass share one
-    ``kernel.sharing_stack`` call, bit for bit ``solve_ir_only``; a row it
-    refuses, or whose wages leave a tightened domain, is solved alone, so
-    ``solve_first_best`` raises its refusal."""
-    out, rows, acts = [], [], []
-    for t in tilted:
-        try:
-            t.require_positive_beliefs()
-            acts.append(t.action(action))
-        except BeliefContractsError as exc:
-            out.append(exc)
-            continue
-        rows.append(len(out))
-        out.append(None)
-    if rows:
-        model = tilted[rows[0]].utility
-        _, w, lam, ok = sharing_stack(
-            np.array([a.principal_beliefs.as_array() for a in acts]),
-            np.array([a.agent_beliefs.as_array() for a in acts]), model,
-            tilted[rows[0]].reservation_utility + acts[0].cost)
-        ok &= _interior(w, model)
-        for j, i in enumerate(rows):
-            if ok[j]:
-                out[i] = (w[j], lam[j], 0.0, True)
-                continue
-            try:
-                sol = solve_first_best(tilted[i], action)
-                out[i] = (np.asarray(sol.wages), sol.lam, 0.0, True)
-            except BeliefContractsError as exc:
-                out[i] = exc
-    return out
 
 
 @dataclass(frozen=True)
@@ -175,13 +153,16 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
     The flag is the second best's ``coincides_with_first_best``.  Both ends,
     0 and eps_max (either sign), are solved with ``solve_second_best``, whose
     refusals propagate.  In between the flag is read from the risk-sharing
-    contract alone (see ``risk_sharing``): it flips where the smallest
-    incentive slack crosses -tol_s, tol_s = 1e-9 being the solver's own
-    tolerance (``second_best._FEASIBILITY_TOL``, read here too).
+    contract alone (see ``risk_sharing``), of the program built from the
+    tilted belief arrays (no instance is built there): it flips where the
+    smallest incentive slack crosses -tol_s, tol_s = 1e-9 being the solver's
+    own tolerance (``second_best._FEASIBILITY_TOL``, read here too).
     ``kernel.rtsafe`` roots slack + tol_s, each point's side from the
     solver's own comparison slack < -tol_s, on the slope d row_i . v +
-    row_i . dv of the smallest slack's row i, dv from ``kernel.sensitivity``,
-    to a Newton correction of tol/4 or a bracket of tol/2 (tol, the accuracy
+    row_i . dv of the smallest slack's row i, dv from ``kernel.sensitivity``.
+    The program is linear in the beliefs, so its move (d weights, d M) is
+    ``second_best._program`` of the tilt's unit move, computed once.  Newton
+    stops at a correction of tol/4 or a bracket of tol/2 (tol, the accuracy
     of eps, is this function's own).  The root is taken on the slack rather
     than on the multiplier mu(eps), which is identically 0 where the
     constraint is slack and has a kink at the flip.
@@ -193,43 +174,37 @@ def detect_regime_change(inst: ProblemInstance, tilt: BeliefTilt, eps_max: float
     if target is None:
         target = max(inst.actions, key=lambda a: a.cost).name
 
-    def tilted(eps: float) -> ProblemInstance:
-        return inst.tilted(tilt.party, tilt.action, tilt.s, tilt.s_prime, eps)
-
-    ends = sorted(((eps, solve_second_best(tilted(eps), target))
-                   for eps in (0.0, float(eps_max))), key=lambda end: end[0])
+    ends = sorted(((eps, solve_second_best(
+        inst.tilted(tilt.party, tilt.action, tilt.s, tilt.s_prime, eps), target))
+        for eps in (0.0, float(eps_max))), key=lambda end: end[0])
     binding_lo = not ends[0][1].coincides_with_first_best
     if binding_lo != ends[1][1].coincides_with_first_best:
         return None
-    e = np.zeros(inst.n_states)         # d beliefs / d eps
-    e[tilt.s], e[tilt.s_prime] = 1.0, -1.0
+    # the beliefs' move per unit eps, and the program's, which is linear in them
+    P, Q = _beliefs(inst)
+    dP, dQ = np.zeros((2, *P.shape))
+    moved = dP if tilt.party is Party.PRINCIPAL else dQ
+    moved[inst.actions.index(inst.action(tilt.action)), [tilt.s, tilt.s_prime]] = 1.0, -1.0
+    d_weights, d_M, _ = _program(inst, target, dP, dQ)
 
     def point(eps: float, sol=None):
-        """(eps, slack + tol_s, binding as at the lower end, instance, v, lam,
-        row of the smallest slack), a coinciding end read from its solution."""
-        t = tilted(eps)
+        """(eps, slack + tol_s, binding as at the lower end, (weights, M), v,
+        lam, row of the smallest slack), a coinciding end read from its
+        solution.  P + eps dP holds Distribution.tilted's p_s + eps and
+        p_s' - eps, bit for bit."""
+        weights, M, r = _program(inst, target, P + eps * dP, Q + eps * dQ)
         if sol is not None and sol.coincides_with_first_best:
             v, lam, slacks = np.asarray(sol.utility_levels), sol.lam, sol.ic_slacks
         else:
-            v, lam, slacks = risk_sharing(t, target)
+            v, lam, slacks = _risk_sharing(weights, M, r, inst.utility)
         i = int(np.argmin(slacks))
         binding = slacks[i] < -_FEASIBILITY_TOL
-        return eps, slacks[i] + _FEASIBILITY_TOL, binding == binding_lo, t, v, lam, i
+        return eps, slacks[i] + _FEASIBILITY_TOL, binding == binding_lo, (weights, M), v, lam, i
 
     def slope(p) -> float:
-        _, _, _, t, v, lam, i = p
-        act, other = t.action(target), t.other_actions(target)[i]
-        q = act.agent_beliefs.as_array()
-        d_weights = d_q = d_row = 0.0 * e
-        if tilt.action == target and tilt.party is Party.PRINCIPAL:
-            d_weights = e
-        elif tilt.action == target:
-            d_q = d_row = e
-        elif tilt.action == other.name and tilt.party is Party.AGENT:
-            d_row = -e
-        dv, _ = sensitivity(act.principal_beliefs.as_array(), q[None], [lam], v, t.utility,
-                            d_weights, d_q)
-        return float(d_row @ v + (q - other.agent_beliefs.as_array()) @ dv)
+        _, _, _, (weights, M), v, lam, i = p
+        dv, _ = sensitivity(weights, M[:1], [lam], v, inst.utility, d_weights, d_M[:1])
+        return float(d_M[1 + i] @ v + M[1 + i] @ dv)
 
     return rtsafe(point, slope, point(*ends[0]), point(*ends[1]),
                   lambda x: 0.25 * tol, lambda x, y: 0.5 * tol)[0]

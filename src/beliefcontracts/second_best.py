@@ -17,12 +17,18 @@ dual iterate (or a polish's fit, see kernel).  The principal's beliefs about
 non-target actions never enter the contract, only the action choice.  The
 spread decomposition's inner programs (see iterative) run on ``solve_dual``.
 
+The program's layout (row 0 participation, then one incentive row per other
+action in order) is written once, in ``_program``, which builds (weights,
+M, r) from the two parties' belief arrays, for one program or a stack of
+them: ``solve_second_best``, ``risk_sharing``, ``dual_value`` and the
+drivers in compstat all take their programs from it.
+
 ``solve_dual_stack`` runs the same ascent on a stack of programs of one
 shape at once, each program on its own axis, for a driver whose many solves
 are neighbours (``compstat.sweep``'s eps grid).  A program that leaves the
 converging path is handed back to ``solve_dual`` and solved alone, so the
-polish and every refusal stay there.  A single solve keeps ``solve_dual``:
-at one program the stack is the slower path.
+polish and every refusal stay there; so is a lone live program, for which
+the stack is the slower path.  A single solve calls ``solve_dual``.
 """
 
 from __future__ import annotations
@@ -79,12 +85,28 @@ class SecondBestSolution:
         return tuple(m > 0.0 for m in self.mu)
 
 
-def _ic_rows(inst: ProblemInstance, target: str):
+def _beliefs(inst: ProblemInstance):
+    """(P, Q): the principal's and the agent's beliefs (A, S), one row per
+    action in ``inst.actions``' order."""
+    return (np.array([a.principal_beliefs.probs for a in inst.actions]),
+            np.array([a.agent_beliefs.probs for a in inst.actions]))
+
+
+def _program(inst: ProblemInstance, target: str, P, Q):
+    """(weights, M, r) of the program implementing ``target`` (module
+    docstring), from belief arrays P and Q (..., A, S) laid out as
+    ``_beliefs``' (one program, or a stack along the leading axes):
+    weights = P[..., H, :], row 0 of M is participation, q = Q[..., H, :],
+    then one incentive row q - q^a' per other action in order, and r (m,),
+    the same for every program of a stack.  (weights, M) is linear in
+    (P, Q), so a move (dP, dQ) of the beliefs gives their move."""
     act = inst.action(target)
-    q = act.agent_beliefs.as_array()
-    others = inst.other_actions(target)
-    return (q, [q - o.agent_beliefs.as_array() for o in others],
-            [act.cost - o.cost for o in others])
+    j = inst.actions.index(act)
+    others = [i for i in range(len(inst.actions)) if i != j]
+    q = Q[..., j:j + 1, :]
+    return (P[..., j, :], np.concatenate([q, q - Q[..., others, :]], axis=-2),
+            np.array([inst.reservation_utility + act.cost]
+                     + [act.cost - inst.actions[i].cost for i in others]))
 
 
 def risk_sharing(inst: ProblemInstance, target: str):
@@ -98,11 +120,13 @@ def risk_sharing(inst: ProblemInstance, target: str):
     ``coincides_with_first_best`` holds exactly when no slack here is below
     -tol, and then its utility levels, lam and ic_slacks are these.
     """
-    act = inst.action(target)
-    q, rows, rhs = _ic_rows(inst, target)
-    v, _, lam = solve_ir_only(act.principal_beliefs.as_array(), q, inst.utility,
-                              inst.reservation_utility + act.cost)
-    return v, lam, tuple(float(row @ v - rv) for row, rv in zip(rows, rhs))
+    return _risk_sharing(*_program(inst, target, *_beliefs(inst)), inst.utility)
+
+
+def _risk_sharing(weights, M, r, model):
+    """``risk_sharing`` of the program (weights, M, r)."""
+    v, _, lam = solve_ir_only(weights, M[0], model, r[0])
+    return v, lam, tuple(float(row @ v - rv) for row, rv in zip(M[1:], r[1:]))
 
 
 def _dual_point(theta, weights, M, r, model):
@@ -364,7 +388,8 @@ def _farkas(d, M, r, v_lo, v_hi):
 
 def solve_dual_stack(weights, M, r, model):
     """``solve_dual`` on K programs of inequality rows at once: weights (K, S),
-    M (K, m, S), r (K, m), participation and m - 1 >= 1 incentive rows.
+    M (K, m, S), r (K, m) or one (m,) for all, participation and m - 1 >= 1
+    incentive rows.
 
     Each program runs ``solve_dual``'s projected Newton ascent with its own
     theta, binding set, tau, line search and stop rule, every reduction along
@@ -387,6 +412,7 @@ def solve_dual_stack(weights, M, r, model):
     """
     weights, M, r = (np.asarray(x, dtype=float) for x in (weights, M, r))
     K, m, S = M.shape
+    r = np.broadcast_to(r, (K, m))
     family = replace(model, domain=None) if model.domain is not None else model
     v_lo, v_hi = family.utility_range
     v, w, lam, ok = sharing_stack(weights, M[:, 0], model, r[:, 0])
@@ -504,12 +530,10 @@ def solve_dual_stack(weights, M, r, model):
     return out
 
 
-def _checked_action(inst: ProblemInstance, target: str):
-    """``solve_second_best``'s input checks; the target's action."""
-    inst.require_positive_beliefs()
+def _require_incentive_rows(inst: ProblemInstance) -> None:
+    """A second best needs an action to deter: one incentive row or more."""
     if len(inst.actions) < 2:
         raise ValidationError("second-best needs at least 2 actions")
-    return inst.action(target)
 
 
 def _solution(target: str, delta, dual) -> SecondBestSolution:
@@ -532,47 +556,6 @@ def _solution(target: str, delta, dual) -> SecondBestSolution:
     )
 
 
-def _solve_each(instances, target: str) -> list:
-    """``solve_second_best(inst, target)`` on each of a driver's instances,
-    which differ only in beliefs, as one program stack: per instance, in
-    order, its solution or the BeliefContractsError refusing it.  Each
-    instance passes ``solve_second_best``'s input checks first, and the
-    programs of those that pass are its rows, stacked.  A lone program takes
-    ``solve_second_best``, two or more ``solve_dual_stack``."""
-    out, valid = [], []
-    for inst in instances:
-        try:
-            _checked_action(inst, target)
-        except BeliefContractsError as exc:
-            out.append(exc)
-            continue
-        valid.append((len(out), inst))
-        out.append(None)
-    if len(valid) == 1:
-        i, inst = valid[0]
-        try:
-            out[i] = solve_second_best(inst, target)
-        except BeliefContractsError as exc:
-            out[i] = exc
-    elif valid:
-        first = valid[0][1]
-        j = [a.name for a in first.actions].index(target)
-        act = first.actions[j]
-        Q = np.array([[a.agent_beliefs.probs for a in inst.actions] for _, inst in valid])
-        M = np.concatenate([Q[:, j:j + 1], Q[:, j:j + 1] - np.delete(Q, j, axis=1)], axis=1)
-        delta = np.array([inst.actions[j].principal_beliefs.probs for _, inst in valid])
-        r = [first.reservation_utility + act.cost] + [act.cost - o.cost
-                                                      for o in first.other_actions(target)]
-        duals = solve_dual_stack(delta, M, np.tile(r, (len(valid), 1)), first.utility)
-        for (i, _), weights, dual in zip(valid, delta, duals):
-            try:
-                out[i] = dual if isinstance(dual, BeliefContractsError) else _solution(
-                    target, weights, dual)
-            except KKTDegeneracy as exc:
-                out[i] = exc
-    return out
-
-
 def solve_second_best(inst: ProblemInstance, target: str) -> SecondBestSolution:
     """Solve the hidden-action cost-minimization program for ``target``.
 
@@ -585,13 +568,16 @@ def solve_second_best(inst: ProblemInstance, target: str) -> SecondBestSolution:
         target: the action to implement.
 
     Raises:
-        Infeasible, Unbounded, KKTDegeneracy: see errors and ``solve_dual``.
+        ValidationError: fewer than 2 actions, a belief below
+            ``SOLVER_MIN_PROB`` or an unknown target.
+        NoBracket: the risk-sharing start cannot be reached (see
+            ``solve_ir_only``).
+        Infeasible, KKTDegeneracy: see errors and ``solve_dual``.
     """
-    act = _checked_action(inst, target)
-    delta = act.principal_beliefs.as_array()
-    q, ic_rows, ic_rhs = _ic_rows(inst, target)
-    M, r = np.vstack([q] + ic_rows), np.array([inst.reservation_utility + act.cost] + ic_rhs)
-    return _solution(target, delta, solve_dual(delta, M, r, 0, inst.utility))
+    inst.require_positive_beliefs()
+    _require_incentive_rows(inst)
+    weights, M, r = _program(inst, target, *_beliefs(inst))
+    return _solution(target, weights, solve_dual(weights, M, r, 0, inst.utility))
 
 
 @dataclass(frozen=True)
@@ -616,12 +602,9 @@ def dual_value(inst: ProblemInstance, target: str, lam: float, mu) -> float:
     clamped at a finite end takes that end's term); -inf where it has no point
     (past an infinite end, or a utility rounded onto an end).
     """
-    act = inst.action(target)
-    q, rows, rhs = _ic_rows(inst, target)
+    weights, M, r = _program(inst, target, *_beliefs(inst))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cur = _dual_point(np.array([lam, *mu], dtype=float), act.principal_beliefs.as_array(),
-                          np.vstack([q] + rows),
-                          np.array([inst.reservation_utility + act.cost] + rhs),
+        cur = _dual_point(np.array([lam, *mu], dtype=float), weights, M, r,
                           replace(inst.utility, domain=None))
     return -np.inf if cur is None else cur[6]
 

@@ -150,6 +150,51 @@ class TestStackedSweep:
         assert str(got.value) == str(ref.value)
 
 
+class TestSweepInputs:
+    """Input errors raise before any solve; a grid's rows only fail in solving."""
+
+    @pytest.mark.parametrize("action, which, solver", [
+        ("Z", "H", SolverKind.SECOND_BEST), ("Z", "H", SolverKind.FIRST_BEST),
+        ("H", "Z", SolverKind.SECOND_BEST), ("H", "H", SolverKind.SECOND_BEST)])
+    def test_unknown_action_or_one_action_second_best_raises(self, monkeypatch, action, which,
+                                                             solver):
+        inst = cara_three_state()
+        if action == which == "H":      # a one-action problem has no incentive rows
+            inst = bc.load_problem(DATA / "cara_one_action.json")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the input check")
+
+        monkeypatch.setattr(compstat, "solve_dual_stack", no_solve)
+        monkeypatch.setattr(compstat, "sharing_stack", no_solve)
+        with pytest.raises(bc.ValidationError):
+            bc.sweep(inst, action, Party.PRINCIPAL, which, 1, 2, [0.0, 0.05], solver)
+
+    def test_one_action_first_best_sweeps(self):
+        inst = bc.load_problem(DATA / "cara_one_action.json")
+        args = (inst, "H", Party.AGENT, "H", 1, 2, np.linspace(0.0, 0.1, 5),
+                SolverKind.FIRST_BEST)
+        got = bc.sweep(*args)
+        assert got.failed_rows == ()
+        assert got == sweep_reference(*args)
+
+    @pytest.mark.parametrize("solver", list(SolverKind))
+    def test_empty_grid_gives_an_empty_result(self, solver):
+        res = bc.sweep(cara_three_state(), "H", Party.PRINCIPAL, "H", 1, 2, [], solver)
+        assert res == bc.SweepResult((), (), (), (), (), (), (Monotonicity.FLAT,) * 3, (), (), ())
+
+    @pytest.mark.parametrize("solver", list(SolverKind))
+    def test_builds_no_tilted_instance(self, monkeypatch, solver):
+        # the tilt moves one belief vector in stacked belief arrays
+        calls = []
+        real = bc.ProblemInstance.tilted
+        monkeypatch.setattr(bc.ProblemInstance, "tilted",
+                            lambda *args: calls.append(args) or real(*args))
+        res = bc.sweep(cara_three_state(), "H", Party.AGENT, "L", 1, 2,
+                       np.linspace(0.0, 0.1, 6), solver)
+        assert res.failed_rows == () and calls == []
+
+
 class TestRegimeDetection:
     def test_tilt_toward_low_state_finds_a_flip(self):
         inst = log_two_state()
@@ -187,8 +232,8 @@ class TestRegimeDetection:
 
         monkeypatch.setattr(compstat, "solve_second_best",
                             counted("second_best", compstat.solve_second_best))
-        monkeypatch.setattr(compstat, "risk_sharing",
-                            counted("risk_sharing", compstat.risk_sharing))
+        monkeypatch.setattr(compstat, "_risk_sharing",
+                            counted("risk_sharing", compstat._risk_sharing))
         inst = bc.load_problem(DATA / "log_two_state.json")
         eps = bc.detect_regime_change(inst, bc.BeliefTilt(Party.PRINCIPAL, "H", 0, 1),
                                       0.45, target="H")

@@ -35,14 +35,6 @@ def _outcome(solve, *args):
         return exc
 
 
-def _program(inst, target):
-    """(weights, M, r) of ``solve_second_best(inst, target)``'s program."""
-    act = inst.action(target)
-    q, rows, rhs = sb._ic_rows(inst, target)
-    return (act.principal_beliefs.as_array(), np.vstack([q] + rows),
-            np.array([inst.reservation_utility + act.cost] + rhs))
-
-
 def _draw(rng, name, S, A):
     """A random program for the costliest of A actions: agent beliefs that
     MLRP-dominate the cheapest action's (mostly solvable) or independent
@@ -138,7 +130,7 @@ def test_stalled_log_programs_reach_solve_duals_polish():
     cases = json.loads((DATA / "log_stalled_polish.json").read_text())["cases"]
     for case in cases:
         inst = bc.parse_problem(json.dumps(case["problem"]))
-        weights, M, r = _program(inst, case["target"])
+        weights, M, r = sb._program(inst, case["target"], *sb._beliefs(inst))
         step = 0.01 * min(weights[0], weights[-1])
         neighbours = [(weights + k * step * np.eye(len(weights))[0]
                        - k * step * np.eye(len(weights))[-1], M, r) for k in range(4)]

@@ -252,6 +252,12 @@ class TestCli:
           "--eps-grid", "0:0.9:3"), "EpsilonTooLarge"),
         (("detect-regime", "--problem", str(DATA / "log_two_state.json"), "--states", "0,1",
           "--eps-max", "0.99"), "EpsilonTooLarge"),
+        # an unknown action and a one-action second best were every row failed, exit 0
+        (("compstat", "--problem", str(DATA / "cara_three_state.json"), "--action", "Z",
+          "--which-action", "H", "--states", "1,2", "--eps-grid", "0:0.05:3"),
+         "ValidationError"),
+        (("compstat", "--problem", str(DATA / "cara_one_action.json"), "--states", "1,2",
+          "--eps-grid", "0:0.05:3"), "ValidationError"),
     ])
     def test_invalid_input_is_an_input_error(self, capsys, argv, error):
         code, out = self.run(*argv)
