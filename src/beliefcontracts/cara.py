@@ -19,8 +19,9 @@ State indices here are 0-based: states 0, 1, 2 in increasing output order.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +51,8 @@ class CaraSystem:
     The derived constants (delta, the kappas, gamma2, r2, r3) are computed
     once per instance, on first use, and reused by every gap and slope
     evaluation of the w1 root-find; ``dataclasses.replace`` builds a new
-    instance with its own.
+    instance with its own.  None reads ``principal``, so ``cara_compstat``
+    solves each tilted principal vector on a shallow copy that keeps them.
     """
 
     pi_high: Distribution
@@ -113,6 +115,11 @@ class CaraSystem:
     def r2(self) -> float:
         """-Delta_1 ubar + c * pi_low_1 (middle-state elimination constant)."""
         return -self.delta.values[1] * self.ubar + self.cost * self.pi_low.probs[1]
+
+
+#: the derived constants of a ``CaraSystem``; none reads ``principal``, so
+#: ``cara_compstat``'s copies with tilted principal beliefs share them
+_CONSTANTS = ("delta", "kappa21", "kappa31", "kappa32", "gamma2", "r3", "r2")
 
 
 def w2_from_w1(sys: CaraSystem, w1: float) -> float:
@@ -265,14 +272,18 @@ def residuals(sys: CaraSystem, wages, lam: float, mu: float):
     return tuple(float(f) for f in foc), ir, ic
 
 
+def _contract(sys: CaraSystem, tol: float):
+    """(wages, lam, mu): the w1 root, the wage assembly and the multipliers."""
+    w1 = solve_w1(sys, tol=tol)
+    wages = (w1, w2_from_w1(sys, w1), w3_from_w1(sys, w1))
+    return (wages, *multipliers(sys, wages))
+
+
 def solve_system(sys: CaraSystem, tol: float = 1e-12) -> CaraSolution:
     """Full closed-form solve: w1 root, wage assembly, multipliers, residuals."""
-    w1 = solve_w1(sys, tol=tol)
-    w2 = w2_from_w1(sys, w1)
-    w3 = w3_from_w1(sys, w1)
-    lam, mu = multipliers(sys, (w1, w2, w3))
-    foc, ir, ic = residuals(sys, (w1, w2, w3), lam, mu)
-    return CaraSolution(wages=(w1, w2, w3), lam=lam, mu=mu,
+    wages, lam, mu = _contract(sys, tol)
+    foc, ir, ic = residuals(sys, wages, lam, mu)
+    return CaraSolution(wages=wages, lam=lam, mu=mu,
                         foc_residuals=foc, ir_residual=ir, ic_residual=ic)
 
 
@@ -324,6 +335,13 @@ def cara_compstat(sys: CaraSystem, s: int, s_prime: int, eps_grid,
     >= 0 (the directions assume mass moves onto s) and keep the principal
     beliefs in the open simplex (see ``Distribution.tilted``); otherwise
     EpsilonTooLarge is raised.  Both checks come before any solve.
+
+    ``sys`` is validated once, by its construction: each tilted principal
+    vector (kept in the open simplex by the tilt) is solved on a copy of
+    ``sys`` that shares its derived constants (``_CONSTANTS``, which read
+    only the agent's beliefs, the cost gap and ubar, as the MLRP test does),
+    so no per-eps ``CaraSystem`` is built or re-validated.  The residuals
+    belong to ``solve_system``; the sweep reports none, so computes none.
     """
     if s == s_prime or not (0 <= s < 3 and 0 <= s_prime < 3):
         raise ValidationError("need two distinct states in {0, 1, 2}")
@@ -334,12 +352,16 @@ def cara_compstat(sys: CaraSystem, s: int, s_prime: int, eps_grid,
         raise EpsilonTooLarge("eps must be >= 0: the directions assume mass moves onto s")
     principals = [sys.principal.tilted(s, s_prime, e) for e in eps_values]
 
+    for name in _CONSTANTS:
+        getattr(sys, name)      # computed once, then shared by every copy
     rows, lams, mus = [], [], []
     for principal in principals:
-        sol = solve_system(replace(sys, principal=principal), tol=tol)
-        rows.append(sol.wages)
-        lams.append(sol.lam)
-        mus.append(sol.mu)
+        tilted = copy.copy(sys)
+        object.__setattr__(tilted, "principal", principal)
+        w, lam, mu = _contract(tilted, tol)
+        rows.append(w)
+        lams.append(lam)
+        mus.append(mu)
 
     wages = np.asarray(rows, dtype=float)
     ds = np.diff(wages[:, s])

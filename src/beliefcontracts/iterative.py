@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class SpreadProblem:
             if order not in (MlrpOrder.F_DOMINATES_G, MlrpOrder.EQUAL):
                 raise ValidationError(f"ordering chain violated: {label} is {order.value}")
 
-    # -- full 4-state data -----------------------------------------------------
+    # -- full 4-state data, built once per instance (read-only arrays) --------
     @property
     def _act(self):
         return self.base.action(self.target)
@@ -95,38 +96,48 @@ class SpreadProblem:
     def _other(self):
         return self.base.other_actions(self.target)[0]
 
-    @property
+    @cached_property
     def pi4(self) -> np.ndarray:
-        return self._act.agent_beliefs.as_array()
+        return _read_only(self._act.agent_beliefs.as_array())
 
-    @property
+    @cached_property
     def eta4(self) -> np.ndarray:
-        return self._other.agent_beliefs.as_array()
+        return _read_only(self._other.agent_beliefs.as_array())
 
-    @property
+    @cached_property
     def delta4(self) -> np.ndarray:
-        return self._act.principal_beliefs.as_array()
+        return _read_only(self._act.principal_beliefs.as_array())
 
-    @property
+    @cached_property
     def cost_gap(self) -> float:
         return self._act.cost - self._other.cost
 
-    @property
+    @cached_property
     def level(self) -> float:
         return self.base.reservation_utility + self._act.cost
 
+    @cached_property
+    def _pinned_rows(self) -> np.ndarray:
+        """The pinned program's rows: participation, incentive, the spread."""
+        return _read_only(np.vstack([self.pi4, self.pi4 - self.eta4, _SPREAD_ROW]))
+
     # -- reduced 3-state data --------------------------------------------------
-    @property
+    @cached_property
     def reduced_pi(self) -> np.ndarray:
-        return reduce_distribution(self._act.agent_beliefs, 3).as_array()
+        return _read_only(reduce_distribution(self._act.agent_beliefs, 3).as_array())
 
-    @property
+    @cached_property
     def reduced_eta(self) -> np.ndarray:
-        return reduce_distribution(self._other.agent_beliefs, 3).as_array()
+        return _read_only(reduce_distribution(self._other.agent_beliefs, 3).as_array())
 
-    @property
+    @cached_property
     def reduced_delta(self) -> np.ndarray:
-        return reduce_distribution(self._act.principal_beliefs, 3).as_array()
+        return _read_only(reduce_distribution(self._act.principal_beliefs, 3).as_array())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def payment_gap(model: UtilityModel, w3: float, m: float) -> float:
@@ -198,8 +209,7 @@ def _pinned_inner(sp: SpreadProblem, m: float) -> _PinnedInner:
     last row)."""
     weights = sp.delta4
     v, w, (lam, mu, nu), active, _, _ = solve_dual(
-        weights, np.vstack([sp.pi4, sp.pi4 - sp.eta4, _SPREAD_ROW]),
-        np.array([sp.level, sp.cost_gap, m]), 1, sp.base.utility)
+        weights, sp._pinned_rows, np.array([sp.level, sp.cost_gap, m]), 1, sp.base.utility)
     return _PinnedInner(cost_total=float(weights @ w), v=tuple(float(x) for x in v),
                         wages=tuple(float(x) for x in w), lam=float(lam), mu=float(mu),
                         nu=float(nu), ic_binding=bool(active[1]))
@@ -263,7 +273,7 @@ def outer_minimize(sp: SpreadProblem) -> OuterSolution:
         incentive row if it binds, the spread), only the spread's level moving."""
         inner = point[3]
         keep = [0, 1, 2] if inner.ic_binding else [0, 2]
-        M = np.vstack([sp.pi4, sp.pi4 - sp.eta4, _SPREAD_ROW])[keep]
+        M = sp._pinned_rows[keep]
         theta = np.array([inner.lam, inner.mu, inner.nu])[keep]
         return float(sensitivity(sp.delta4, M, theta, inner.v, sp.base.utility,
                                  d_r=np.eye(len(keep))[-1])[1][-1])

@@ -32,7 +32,10 @@ root-finder, one sensitivity and the null-space polish.
     iterate v^ + N z satisfies M v = r up to rounding.
 
 None takes a tolerance: the cut-offs are fixed.  The reduced Newton stops
-at a relative stationarity of 1e-13 or when a step no longer lowers it.
+at a relative stationarity of 1e-13 or when a step no longer lowers it; its
+line search stops halving at the fixed point z + alpha dz == z, where the
+trial and every shorter one is the current iterate and cannot lower it,
+and it fits each point it meets once.
 The polish does not judge its point: ``solve_dual`` accepts or refuses it
 by ``kkt_certificate``'s checks.
 
@@ -237,6 +240,14 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, start):
         start: a point inside the utility range; its projection onto
             {M v = r} is the first iterate.
 
+    Each Newton step halves alpha until the trial z + alpha dz lies in the
+    range and lowers the relative stationarity, and gives up (ending the
+    iteration) once alpha falls below 1e-12 or z + alpha dz == z elementwise:
+    that trial, and every shorter one, is the current iterate, which cannot
+    lower its own stationarity.  A trial whose v rounds onto a point fitted
+    before (a tiny step of a nearby iterate) reuses that fit, so no
+    least-squares fit runs twice on one matrix.
+
     Returns:
         AffineSolution at the iterate of smallest relative stationarity, with
         multipliers theta solving M^T theta = weights*h'(v) in the least-squares
@@ -266,12 +277,17 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, start):
         # remain interior; if not the optimum hugs the boundary
         raise KKTDegeneracy("constraint set only meets the utility range at its boundary")
 
+    fitted = {}     # v's bytes -> its fit, for a trial that rounds onto a point fitted before
+
     def relative_stationarity(vv):
         """Residual of weight_s h'(v_s) = (M^T theta)_s, scaled per state.
 
         The fit minimizes the per-state relative residual so tiny-target
         states (steep marginal utility) do not drown in the large ones.
         """
+        key = vv.tobytes()
+        if key in fitted:
+            return fitted[key]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
             target = weights * np.asarray(model._h_prime(vv), dtype=float)
             scaled = M.T / target[:, None]
@@ -283,7 +299,8 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, start):
                 "conditioned beyond double precision")
         theta_fit, *_ = np.linalg.lstsq(scaled, np.ones(S), rcond=None)
         resid = target - M.T @ theta_fit
-        return theta_fit, resid, float(np.max(np.abs(resid) / target))
+        fitted[key] = theta_fit, resid, float(np.max(np.abs(resid) / target))
+        return fitted[key]
 
     theta, resid, rel = relative_stationarity(v)
     for iterations in range(1, _MAX_NEWTON + 1):
@@ -299,11 +316,14 @@ def minimize_on_affine(weights, M, r, model: UtilityModel, start):
         alpha = 1.0         # halved until the trial is inside the range and better
         improved = False
         for _ in range(60):
-            v_new = vhat + N @ (z + alpha * dz)
+            z_new = z + alpha * dz
+            if (z_new == z).all():      # the current point, and so is every shorter trial
+                break
+            v_new = vhat + N @ z_new
             if in_range(v_new):
                 theta_new, resid_new, rel_new = relative_stationarity(v_new)
                 if rel_new < rel:
-                    z = z + alpha * dz
+                    z = z_new
                     v, theta, resid, rel = v_new, theta_new, resid_new, rel_new
                     improved = True
                     break

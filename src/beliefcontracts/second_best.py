@@ -139,13 +139,20 @@ def _dual_point(theta, weights, M, r, model):
     in (0, inf) and u only on wages strictly inside the wage domain, so both
     are the family's closed forms, and every unclamped v_s of a returned point
     lies strictly inside the utility range, where h'' needs no check either.
+    The positivity test runs first: on a family unbounded below (log, cara,
+    crra gamma > 1) a marginal utility outside (0, inf), as every c_s <= 0
+    gives, clamps v_s to -inf, so the point is None before (u')^-1 or u runs.
     The caller holds ``np.errstate(divide="ignore", over="ignore",
     invalid="ignore")``: past double precision the masks refuse."""
     (w_lo, w_hi), (v_lo, v_hi) = model.wage_domain, model.utility_range
     marg = weights / (M.T @ theta)
     ok = (marg > 0.0) & (marg < np.inf)
-    w = model._u_prime_inv(marg) if ok.all() else np.where(
-        ok, model._u_prime_inv(np.where(ok, marg, 1.0)), w_lo)
+    if ok.all():
+        w = model._u_prime_inv(marg)
+    elif v_lo == -np.inf:
+        return None
+    else:
+        w = np.where(ok, model._u_prime_inv(np.where(ok, marg, 1.0)), w_lo)
     low, high = ~ok | (w <= w_lo), w >= w_hi
     clamped = low | high
     if not clamped.any():
@@ -196,9 +203,14 @@ def solve_dual(weights, M, r, n_eq: int, model):
     strictly inside the utility range, the start's by ``solve_ir_only``'s
     test and every other iterate's by ``_dual_point``'s, so h'' is unchecked),
     tau = 1e-10 min(1, |pg|) max diag, off the binding set (theta_i <= eps
-    with grad_i <= 0, or 0 with d_i < 0; there d_i = -theta_i), and halves
-    alpha in P(theta + alpha d) until the dual value rises by Armijo's rule
-    (at its rounding level: until the projected gradient pg shrinks).  It
+    with grad_i <= 0, or 0 with d_i < 0; there d_i = -theta_i); the unclamped
+    columns of M and the free rows of J and grad are gathered only when some
+    state is clamped or some row binds (M is C-contiguous, so the ungathered
+    products round as the gathered copies do).  It halves alpha in
+    P(theta + alpha d) until the dual value rises by Armijo's rule (at its
+    rounding level: until the projected gradient pg shrinks), each trial
+    refused by ``_dual_point``'s positivity test before any closed form runs
+    where the family is unbounded below.  It
     stops at |pg| <= 1e-12 max(1, |r|) with sum |theta pg| <= tol, tol =
     ``_FEASIBILITY_TOL``, trying full steps only below that |pg|.  The
     candidates are the risk-sharing contract when no incentive slack is below
@@ -219,7 +231,7 @@ def solve_dual(weights, M, r, n_eq: int, model):
     check.
     """
     weights = np.asarray(weights, dtype=float)
-    M = np.asarray(M, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)    # products round as on M[:, free]'s copy
     r = np.asarray(r, dtype=float)
     m, S = M.shape
     n_ineq = m - n_eq
@@ -282,16 +294,23 @@ def solve_dual(weights, M, r, n_eq: int, model):
         if v_hi < np.inf and certifies(theta):     # else c > 0 makes its bound +inf
             raise Infeasible(_EMPTY)
         free = ~(low | high)
-        Mf = M[:, free]
-        J = (Mf / (weights[free] * family._h_second(v[free]))) @ Mf.T
+        if free.all():      # no state clamped: no gathers, the same products
+            J = (M / (weights * family._h_second(v))) @ M.T
+        else:
+            Mf = M[:, free]
+            J = (Mf / (weights[free] * family._h_second(v[free]))) @ Mf.T
         binding = sign & (theta <= min(1e-3, pg_norm)) & (grad <= 0.0)
         try:
             while True:     # a row at 0 that the step would push below joins the binding set
                 rows = ~binding
-                H = J[rows][:, rows]
+                partial = binding.any()
+                H = J[rows][:, rows] if partial else J.copy()
                 H.flat[::len(H) + 1] += 1e-10 * min(1.0, pg_norm) * H.diagonal().max(initial=0.0)
-                d = np.where(binding, -theta, 0.0)      # a continuous path to 0
-                d[rows] = np.linalg.solve(H, grad[rows])
+                if partial:
+                    d = np.where(binding, -theta, 0.0)      # a continuous path to 0
+                    d[rows] = np.linalg.solve(H, grad[rows])
+                else:
+                    d = np.linalg.solve(H, grad)
                 out = rows & sign & (theta <= 0.0) & (d < 0.0)
                 if not out.any():
                     break

@@ -25,9 +25,10 @@ verdict of solve_mix, every returned contract records its wages and
 ``kkt_certificate``'s stationarity_max, a detect_regime_change op that
 returned an eps records it, an equivalence_report op that returned
 records its m* and iterative cost, a sweep or cara_compstat op that
-returned records its wage paths (a sweep also its failed rows, lambda, mu
-and coincides paths), and a choose_action op that returned records its
-chosen action and each entry's expected cost.  The report prints every
+returned records its wage, lambda and mu paths (a sweep also its failed
+rows and coincides path), an oracle_audit op that returned records its
+solver cost, oracle cost and cell variation, and a choose_action op that
+returned records its chosen action and each entry's expected cost.  The report prints every
 verdict transition, every change in a refusal's message and every change
 in a sweep's failed rows or coincides path or a choose_action's chosen
 action, with stationarity_max before and
@@ -36,10 +37,11 @@ the certified count of each side, the largest relative wage move
 max_s |w'_s - w_s| / max_s |w_s| among the solves both sides certify (and,
 over a whole wage path, among the sweep and the cara_compstat ops both sides
 answer, on the rows both sides solved), the largest relative lambda, mu
-and choose_action entry-cost move |x' - x| / |x| among the entries both
-sides give (a 0 on both sides moves by 0), and the largest |eps*' - eps*|,
-|m*' - m*| / |m*| and |cost' - cost| / |cost| among the answers both sides
-give.  Not collected by pytest (no ``test_`` prefix).
+(of sweeps and of cara_compstat) and choose_action entry-cost move
+|x' - x| / |x| among the entries both sides give (a 0 on both sides moves
+by 0), and the largest |eps*' - eps*| and relative move |x' - x| / |x| of
+m*, the iterative cost and oracle_audit's solver cost, oracle cost and cell
+variation among the answers both sides give.  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -120,7 +122,12 @@ def worker(workload: str, seed: int, ops: int, kinds: list[str]) -> dict:
         if isinstance(outcome, bc.EquivalenceReport):
             out[str(i)].update(m_star=outcome.m_star, cost=outcome.cost_iterative)
         if isinstance(outcome, bc.CaraSweep):
-            out[str(i)]["cara_wages"] = [list(row) for row in outcome.wages]
+            out[str(i)].update(cara_wages=[list(row) for row in outcome.wages],
+                               cara_lambda_path=list(outcome.lam_path),
+                               cara_mu_path=list(outcome.mu_path))
+        if isinstance(outcome, bc.AuditReport):
+            out[str(i)].update(solver_cost=outcome.solver_cost, oracle_cost=outcome.oracle_cost,
+                               cell_variation=outcome.cell_variation)
         if isinstance(outcome, bc.SweepResult):
             out[str(i)].update(sweep_wages=[list(row) for row in outcome.wage_paths],
                                failed_rows=list(outcome.failed_rows),
@@ -198,6 +205,8 @@ def compare(label: str, old: dict, new: dict) -> None:
             print(f"  largest relative {kind} wage-path move among {len(paths)} answers both "
                   f"sides give: {_largest(paths)}")
     for field, what in (("lambda_path", "lambda"), ("mu_path", "mu"),
+                        ("cara_lambda_path", "cara_compstat lambda"),
+                        ("cara_mu_path", "cara_compstat mu"),
                         ("entry_costs", "choose_action cost")):
         paths = []
         for key in old:
@@ -211,7 +220,11 @@ def compare(label: str, old: dict, new: dict) -> None:
             print(f"  largest relative {what} move among {len(paths)} answers both sides "
                   f"give: {_largest(paths)}")
     for field, what, relative in (("eps_star", "eps*", False), ("m_star", "relative m*", True),
-                                  ("cost", "relative cost", True)):
+                                  ("cost", "relative cost", True),
+                                  ("solver_cost", "relative oracle_audit solver cost", True),
+                                  ("oracle_cost", "relative oracle_audit oracle cost", True),
+                                  ("cell_variation", "relative oracle_audit cell variation",
+                                   True)):
         moves = [(abs(new[key][field] - old[key][field])
                   / ((abs(old[key][field]) or 1.0) if relative else 1.0), key)
                  for key in old if field in old[key] and field in new[key]]

@@ -1,5 +1,6 @@
 """Closed-form 2-action 3-state exponential pipeline."""
 
+import copy
 import math
 
 import numpy as np
@@ -270,7 +271,7 @@ class TestCompstat:
 
     def test_empty_grid_is_refused_before_any_solve(self, monkeypatch):
         from beliefcontracts import cara
-        monkeypatch.setattr(cara, "solve_system", None)   # any solve would fail
+        monkeypatch.setattr(cara, "solve_w1", None)   # any solve would fail
         with pytest.raises(bc.ValidationError):
             bc.cara_compstat(toy_system(), 1, 2, [])
 
@@ -278,3 +279,44 @@ class TestCompstat:
     def test_eps_leaving_the_simplex_or_negative_is_refused(self, eps):
         with pytest.raises(bc.EpsilonTooLarge):
             bc.cara_compstat(toy_system(), 2, 0, [0.0, eps])
+
+    def test_the_system_is_validated_once_and_no_residual_is_computed(self, monkeypatch):
+        # each eps solves on the validated system's constants; the sweep reports no residuals
+        from beliefcontracts import cara
+        sys_ = toy_system()
+        grid = np.linspace(0.0, 0.2, 21)
+        reference = [bc.solve_system(bc.CaraSystem(sys_.pi_high, sys_.pi_low,
+                                                   sys_.principal.tilted(1, 2, e),
+                                                   sys_.cost, sys_.ubar))
+                     for e in grid]
+
+        def refuse(*args):
+            raise AssertionError("cara_compstat re-validated a system or computed residuals")
+
+        monkeypatch.setattr(cara.CaraSystem, "__post_init__", refuse)
+        monkeypatch.setattr(cara, "residuals", refuse)
+        sweep = bc.cara_compstat(sys_, 1, 2, grid)
+        assert sweep.wages == tuple(sol.wages for sol in reference)
+        assert sweep.lam_path == tuple(sol.lam for sol in reference)
+        assert sweep.mu_path == tuple(sol.mu for sol in reference)
+
+    def test_no_derived_constant_reads_the_principal(self):
+        # cara_compstat's tilted copies share these constants, so none may read principal
+        from functools import cached_property
+
+        from beliefcontracts import cara
+
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"a derived constant read principal.{name}")
+
+        sys_ = toy_system()
+        cached = {name for name, attr in vars(cara.CaraSystem).items()
+                  if isinstance(attr, cached_property)}
+        assert cached == set(cara._CONSTANTS)
+        blind = copy.copy(sys_)
+        for name in cached:
+            blind.__dict__.pop(name, None)
+        object.__setattr__(blind, "principal", Unreadable())
+        for name in cara._CONSTANTS:
+            assert getattr(blind, name) == getattr(sys_, name)

@@ -66,6 +66,19 @@ class TestSpreadProblem:
         assert sp.reduced_pi == pytest.approx((0.16, 0.22, 0.62))
         assert sp.reduced_delta == pytest.approx((0.28, 0.27, 0.45))
 
+    def test_derived_data_is_built_once_per_instance(self, monkeypatch):
+        # the walk reads the beliefs at every probe and trace row; construction builds them
+        from beliefcontracts import iterative
+        sp = bc.SpreadProblem(chain_instance(), "H")
+
+        def refuse(*args):
+            raise AssertionError("a reduced belief vector was rebuilt")
+
+        monkeypatch.setattr(iterative, "reduce_distribution", refuse)
+        out = bc.outer_minimize(sp)
+        assert len(out.trace) > 2
+        assert not sp.pi4.flags.writeable and not sp.reduced_delta.flags.writeable
+
 
 class TestPaymentGap:
     def test_zero_spread(self):

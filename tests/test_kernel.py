@@ -4,6 +4,7 @@ closed forms in place of the checked public methods, the scalar root-finder,
 the null-space polish and the sensitivity."""
 
 import itertools
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -268,6 +269,32 @@ def test_minimize_on_affine_contract_on_nearly_dependent_rows():
         blocks = [M[:, list(c)] for c in itertools.combinations(range(5), 3)]
         assert min(np.linalg.cond(B) for B in blocks) > 1e6
         assert_affine_contract(weights, M, r, model)
+
+
+def test_the_polish_never_fits_one_matrix_twice(monkeypatch):
+    """A halving whose trial z + alpha dz rounds to z is the current point, and
+    so is every shorter one: the line search stops there instead of fitting
+    that point again; a trial that rounds onto a point fitted before reuses
+    that fit.  So no polish fits the same scaled matrix twice."""
+    fits = []       # the scaled matrices each polish fits
+    lstsq, polish = np.linalg.lstsq, second_best.minimize_on_affine
+
+    def fit(a, *args, **kwargs):
+        fits[-1].append(a.tobytes())
+        return lstsq(a, *args, **kwargs)
+
+    def recorded_polish(*args):
+        fits.append([])
+        return polish(*args)
+
+    monkeypatch.setattr(np.linalg, "lstsq", fit)
+    monkeypatch.setattr(second_best, "minimize_on_affine", recorded_polish)
+    for case in json.loads((DATA / "log_stalled_polish.json").read_text())["cases"]:
+        inst = bc.parse_problem(json.dumps(case["problem"]))
+        with pytest.raises(bc.KKTDegeneracy):       # each stalls, is polished and refused
+            bc.solve_second_best(inst, case["target"])
+    assert sum(map(len, fits)) > len(fits) > 1       # some polish took a step
+    assert all(len(set(f)) == len(f) for f in fits)
 
 
 @pytest.mark.parametrize("name", ["cara", "log", "crra_low", "crra_high", "sqrt"])

@@ -253,6 +253,28 @@ def test_wage_domain_tightened_around_the_free_answer_keeps_it(monkeypatch):
     assert answered + refused == 213 and refused == 0
 
 
+@pytest.mark.parametrize("model", [bc.LogUtility(), bc.CaraUtility(r=1.0),
+                                   bc.CrraUtility(gamma=2.0)], ids=lambda m: m.family)
+@pytest.mark.parametrize("theta", [(1.0, 1.0), (1.0, 2.0)], ids=["c_0=0", "c_0<0"])
+def test_dual_point_refuses_a_nonpositive_coefficient_before_any_closed_form(monkeypatch,
+                                                                             model, theta):
+    # on a family unbounded below a state with c_s = (M^T theta)_s <= 0 sits at
+    # v_s = -inf, so the point is None before (u')^-1 or u runs
+    from beliefcontracts.second_best import _dual_point
+    M = np.array([[0.25, 0.25, 0.5], [-0.25, 0.0, 0.25]])
+    theta = np.array(theta)
+    assert (M.T @ theta <= 0.0).any()
+
+    def refuse(self, x):
+        raise AssertionError("a closed form ran")
+
+    monkeypatch.setattr(type(model), "_u_prime_inv", refuse)
+    monkeypatch.setattr(type(model), "_u", refuse)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        assert _dual_point(theta, np.array([0.3, 0.3, 0.4]), M, np.array([-1.0, 0.1]),
+                           model) is None
+
+
 def test_dual_value_at_a_floor_clamped_state_is_a_finite_lower_bound():
     # sqrt, two states: at (lam, 3 mu) of the certified contract, c_0 =
     # lam q_0 + 3 mu (q_0 - q^L_0) < 0, so state 0's term is its floor value
